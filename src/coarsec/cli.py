@@ -46,17 +46,21 @@ def _load_space(path: str) -> ParsedSpace:
     return parse_space(Path(path).read_text(encoding="utf-8"))
 
 
+def _product_space(first: ParsedSpace, second: ParsedSpace) -> ParsedSpace:
+    """Product structure, with the max product metric when both factors are metric."""
+    structure = product_structure(first.structure, second.structure)
+    metric = None
+    if first.metric is not None and second.metric is not None:
+        metric = max_metric_product(first.metric, second.metric)
+    return ParsedSpace(structure, metric, {})
+
+
 def _combined_space(args: argparse.Namespace) -> ParsedSpace:
     """The space of --space, or the product space when --space2 is given."""
     first = _load_space(args.space)
     if getattr(args, "space2", None) is None:
         return first
-    second = _load_space(args.space2)
-    structure = product_structure(first.structure, second.structure)
-    metric = None
-    if first.metric is not None and second.metric is not None:
-        metric = max_metric_product(first.metric, second.metric)
-    return ParsedSpace(structure, metric, None, {})
+    return _product_space(first, _load_space(args.space2))
 
 
 def _load_sequence(seq_doc: object, space: ParsedSpace):
@@ -114,12 +118,9 @@ def _cmd_check_sfcdc(args: argparse.Namespace) -> int:
 def _cmd_product_witness(args: argparse.Namespace) -> int:
     first = _load_space(args.space)
     second = _load_space(args.space2)
-    structure = product_structure(first.structure, second.structure)
-    metric = None
-    if first.metric is not None and second.metric is not None:
-        metric = max_metric_product(first.metric, second.metric)
+    space = _product_space(first, second)
     seq_doc = _read_sequence_doc(args.sequence)
-    seq = build_sequence(seq_doc, structure.ground, metric)
+    seq = _load_sequence(seq_doc, space)
     witness = product_witness(
         first.structure, second.structure, seq, components_witness, components_witness
     )

@@ -42,9 +42,6 @@ class Decomposition:
             self, "parts", tuple(tuple(frozenset(m) for m in part) for part in self.parts)
         )
 
-    def all_members(self) -> tuple[frozenset[int], ...]:
-        return tuple(m for part in self.parts for m in part)
-
 
 @dataclass(frozen=True)
 class DecompositionReport:
@@ -79,7 +76,8 @@ def check_decomposition(
     """Verify an (E, n)-decomposition of target over the given family.
 
     Clauses: at most n parts; the members union to exactly the target; members
-    within a part are pairwise E-disjoint; every member belongs to the family.
+    within a part are distinct and pairwise E-disjoint; every member belongs to
+    the family.
     """
     if family.ground != e.ground:
         raise ValueError("family and relation on different ground sets")
@@ -108,6 +106,15 @@ def check_decomposition(
 
     disjoint_ok = True
     for t, part in enumerate(decomposition.parts, start=1):
+        if len(set(part)) < len(part):
+            disjoint_ok = False
+            if failure is None:
+                repeated = next(m for i, m in enumerate(part) if m in part[:i])
+                failure = ("duplicate-piece", t, sorted(repeated))
+            break
+    for t, part in enumerate(decomposition.parts, start=1):
+        if not disjoint_ok:
+            break
         for a in range(len(part)):
             for b in range(a + 1, len(part)):
                 hit = next(
@@ -132,8 +139,6 @@ def check_decomposition(
                     break
             if not disjoint_ok:
                 break
-        if not disjoint_ok:
-            break
 
     member_set = set(family.members)
     members_ok = True

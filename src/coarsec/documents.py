@@ -9,6 +9,7 @@ Member order inside families is data and is preserved verbatim.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -51,10 +52,22 @@ def _expect_int(value: object, path: str) -> int:
     return value
 
 
+# Bounds on rational strings, checked before Fraction parses them: the
+# exponent of "1e1000000000" alone would make a 10**9-digit integer.
+MAX_RATIONAL_CHARS = 256
+MAX_RATIONAL_EXPONENT = 256
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+
+
 def _parse_fraction(value: object, path: str) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        if len(value) > MAX_RATIONAL_CHARS:
+            _fail(path, f"rational string longer than {MAX_RATIONAL_CHARS} characters")
+        exponent = _EXPONENT.search(value)
+        if exponent is not None and abs(int(exponent[1])) > MAX_RATIONAL_EXPONENT:
+            _fail(path, f"exponent of {value!r} exceeds {MAX_RATIONAL_EXPONENT} in magnitude")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -86,7 +99,6 @@ def _emit_pairs(relation: Relation) -> list:
 class ParsedSpace:
     structure: CoarseStructure
     metric: Optional[FiniteMetric]
-    scales: Optional[tuple[Fraction, ...]]
     doc: dict
 
 
@@ -107,7 +119,7 @@ def parse_space(text: str) -> ParsedSpace:
             _parse_pairs(g, ground, f"generators[{i}]")
             for i, g in enumerate(_expect_list(doc.get("generators"), "generators"))
         ]
-        return ParsedSpace(generate(ground, generators), None, None, doc)
+        return ParsedSpace(generate(ground, generators), None, doc)
     if kind == "metric":
         size = _expect_int(doc.get("size"), "size")
         if size < 1:
@@ -135,7 +147,7 @@ def parse_space(text: str) -> ParsedSpace:
                 _fail(f"scales[{i}]", f"scale must be nonnegative, got {r}")
             scales.append(r)
         structure = structure_from_metric(metric, scales)
-        return ParsedSpace(structure, metric, tuple(scales), doc)
+        return ParsedSpace(structure, metric, doc)
     _fail("kind", f'expected "generated" or "metric", got {kind!r}')
     raise AssertionError("unreachable")
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import sub
 from typing import Iterable, Sequence
 
 from .relations import GroundSet, ProductGroundSet, Relation, product_relation, union_all
@@ -79,7 +81,9 @@ class FiniteMetric:
     """Symmetric matrix of exact nonnegative rational distances.
 
     Zero diagonal, symmetry and the triangle inequality are enforced at
-    construction time.  Zero off-diagonal entries are allowed.
+    construction time.  Zero off-diagonal entries are allowed.  The checks,
+    and the thresholds of metric_entourage, run on the integer matrix
+    dist * scale, where scale is the least common denominator of the entries.
     """
 
     ground: GroundSet
@@ -87,25 +91,33 @@ class FiniteMetric:
 
     def __post_init__(self) -> None:
         n = self.ground.size
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.dist)
+        rows = tuple(
+            tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in self.dist
+        )
         object.__setattr__(self, "dist", rows)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"distance matrix must be {n}x{n}")
-        for a in range(n):
-            if rows[a][a] != 0:
+        scale = lcm(*{x.denominator for row in rows for x in row})
+        d = tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_scaled", d)
+        for a, row in enumerate(d):
+            if row[a] != 0:
                 raise ValueError(f"nonzero diagonal entry at ({a}, {a})")
-            for b in range(n):
-                if rows[a][b] < 0:
+            for b, x in enumerate(row):
+                if x < 0:
                     raise ValueError(f"negative distance at ({a}, {b})")
-                if rows[a][b] != rows[b][a]:
+                if x != d[b][a]:
                     raise ValueError(f"asymmetric distances at ({a}, {b})")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if rows[a][c] > rows[a][b] + rows[b][c]:
-                        raise ValueError(
-                            f"triangle inequality fails: d({a},{c}) > d({a},{b}) + d({b},{c})"
-                        )
+        # d(a,c) <= d(a,b) + d(b,c) for all c  iff  max_c (d(a,c) - d(b,c)) <= d(a,b)
+        for a, row_a in enumerate(d):
+            for b, row_b in enumerate(d):
+                dab = row_a[b]
+                if max(map(sub, row_a, row_b)) > dab:
+                    c = next(c for c in range(n) if row_a[c] > dab + row_b[c])
+                    raise ValueError(
+                        f"triangle inequality fails: d({a},{c}) > d({a},{b}) + d({b},{c})"
+                    )
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[object]]) -> "FiniteMetric":
@@ -120,13 +132,16 @@ class FiniteMetric:
 
 
 def metric_entourage(metric: FiniteMetric, r: object) -> Relation:
-    """All pairs at distance at most r; reflexive and symmetric."""
+    """All pairs at distance at most r; reflexive and symmetric.
+
+    d <= r  iff  d * scale <= floor(r * scale), since d * scale is an integer.
+    """
     radius = Fraction(str(r)) if not isinstance(r, Fraction) else r
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    n = metric.ground.size
+    bound = radius.numerator * metric._scale // radius.denominator
     pairs = frozenset(
-        (a, b) for a in range(n) for b in range(n) if metric.dist[a][b] <= radius
+        (a, b) for a, row in enumerate(metric._scaled) for b, x in enumerate(row) if x <= bound
     )
     return Relation(metric.ground, pairs)
 
@@ -138,13 +153,10 @@ def structure_from_metric(metric: FiniteMetric, scales: Iterable[object]) -> Coa
 
 def max_metric_product(m1: FiniteMetric, m2: FiniteMetric) -> FiniteMetric:
     """Product metric d((x1,y1),(x2,y2)) = max(d1(x1,x2), d2(y1,y2))."""
-    ground = ProductGroundSet(m1.ground, m2.ground)
-    rows = []
-    for a in range(ground.size):
-        x1, y1 = ground.unpair(a)
-        row = []
-        for b in range(ground.size):
-            x2, y2 = ground.unpair(b)
-            row.append(max(m1.dist[x1][x2], m2.dist[y1][y2]))
-        rows.append(tuple(row))
-    return FiniteMetric(ground, tuple(rows))
+    # point (x, y) has index x * |Y| + y, so rows and columns run x-major
+    rows = tuple(
+        tuple(max(d1, d2) for d1 in row1 for d2 in row2)
+        for row1 in m1.dist
+        for row2 in m2.dist
+    )
+    return FiniteMetric(ProductGroundSet(m1.ground, m2.ground), rows)

@@ -143,3 +143,33 @@ def o_find_decomposition(target, pairs, n, members):
         if ok:
             return True
     return False
+
+
+def o_metric_violation(rows):
+    """First metric-axiom failure of a square Fraction matrix, or None.
+
+    Straight loops in the order the library reports: per row the diagonal,
+    then sign and symmetry entry by entry; then every triple (a, b, c) in
+    lexicographic order for the triangle inequality.
+    """
+    n = len(rows)
+    for a in range(n):
+        if rows[a][a] != 0:
+            return f"nonzero diagonal entry at ({a}, {a})"
+        for b in range(n):
+            if rows[a][b] < 0:
+                return f"negative distance at ({a}, {b})"
+            if rows[a][b] != rows[b][a]:
+                return f"asymmetric distances at ({a}, {b})"
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if rows[a][c] > rows[a][b] + rows[b][c]:
+                    return f"triangle inequality fails: d({a},{c}) > d({a},{b}) + d({b},{c})"
+    return None
+
+
+def o_metric_entourage(rows, r):
+    """Pairs at distance at most r, compared as Fractions."""
+    n = len(rows)
+    return frozenset((a, b) for a in range(n) for b in range(n) if rows[a][b] <= r)

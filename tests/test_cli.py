@@ -1,9 +1,12 @@
 import json
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
+from coarsec import documents
 from coarsec.cli import main
 
 
@@ -110,6 +113,20 @@ class TestVerifyWitness:
         )
         assert code == 2
         assert "document error" in err
+
+    def test_huge_exponent_exits_2_without_building_it(self, files, capsys, monkeypatch):
+        def guarded_fraction(*args):
+            assert not any("1000000000" in str(a) for a in args), "parsed the huge rational"
+            return Fraction(*args)
+
+        monkeypatch.setattr(documents, "Fraction", guarded_fraction)
+        _, write = files
+        doc = dict(UNIT2, dist=[["0", "1e1000000000"], ["1e1000000000", "0"]])
+        start = time.perf_counter()
+        code, _, err = run_main(capsys, "info", "--space", write("s.json", doc))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "dist[0][1]" in err
 
     def test_missing_file_exits_2(self, files, capsys):
         _, write = files
@@ -221,6 +238,21 @@ class TestSfcdcCommands:
             capsys, "check-sfcdc", "--space", s, "--certificate", str(tampered)
         )
         assert code in (1, 2)
+
+    def test_check_reports_duplicate_piece(self, files, capsys):
+        _, write = files
+        s = write("s.json", {"kind": "generated", "size": 2, "generators": []})
+        cert = {
+            "kind": "sfcdc",
+            "sequence": {"kind": "explicit", "items": [[[0, 0], [1, 1]]]},
+            "families": [[[0, 1]], [[0], [1]]],
+            "decompositions": [[{"parts": [[0, 0, 1]]}]],
+        }
+        code, out, _ = run_main(
+            capsys, "check-sfcdc", "--space", s, "--certificate", write("c.json", cert)
+        )
+        assert code == 1
+        assert json.loads(out)["failure"] == ["level", 1, 0, ["duplicate-piece", 1, [0]]]
 
 
 class TestSearch:

@@ -59,6 +59,21 @@ class TestCheckDecomposition:
         assert not report.ok and not report.disjoint_ok
         assert report.failure == ("part-not-disjoint", 1, [0], [1], [0, 1])
 
+    def test_duplicate_piece(self):
+        target = frozenset({0, 1})
+        d = Decomposition(target, ((frozenset({1}),), (frozenset({0}), frozenset({0}))))
+        report = check_decomposition(target, rel(4, set()), 2, d, SINGLETONS4)
+        assert not report.ok and not report.disjoint_ok
+        assert report.failure == ("duplicate-piece", 2, [0])
+
+    def test_duplicate_piece_reported_ahead_of_disjointness(self):
+        target = frozenset({0, 1})
+        d = Decomposition(
+            target, ((frozenset({0}), frozenset({1})), (frozenset({1}), frozenset({1})))
+        )
+        report = check_decomposition(target, E01, 2, d, SINGLETONS4)
+        assert report.failure == ("duplicate-piece", 2, [1])
+
     def test_too_many_parts(self):
         target = frozenset({0, 1})
         d = Decomposition(target, ((frozenset({0}),), (frozenset({1}),)))

@@ -90,6 +90,21 @@ class TestParseSpace:
         with pytest.raises(DocumentError, match=r"scales\[0\]"):
             parse_space(json.dumps(bad))
 
+    @pytest.mark.parametrize(
+        "value", ["1e300", "1E-257", "2.5e+1_000", pytest.param("1" * 257, id="257-digits")]
+    )
+    def test_oversized_rational_rejected_before_parsing(self, value):
+        bad = dict(METRIC_DOC, scales=[value])
+        with pytest.raises(DocumentError, match=r"scales\[0\]"):
+            parse_space(json.dumps(bad))
+
+    @pytest.mark.parametrize(
+        "value", ["1e256", "1e-256", pytest.param("1" * 256, id="256-digits"), "3/7", "1.25E-2"]
+    )
+    def test_rational_within_bounds_accepted(self, value):
+        doc = dict(METRIC_DOC, scales=[value])
+        assert parse_space(json.dumps(doc)).metric is not None
+
 
 class TestSequences:
     def test_scales_sequence(self):

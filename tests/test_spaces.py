@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsec import (
     CoarseStructure,
@@ -17,7 +19,12 @@ from coarsec import (
     structure_from_metric,
 )
 
-from oracles import o_closure_relations, o_closure_union_free
+from oracles import (
+    o_closure_relations,
+    o_closure_union_free,
+    o_metric_entourage,
+    o_metric_violation,
+)
 
 
 def rel(n, pairs):
@@ -137,14 +144,16 @@ class TestCoarseStructureInvariants:
 
 class TestFiniteMetric:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FiniteMetric.from_rows([[0, 1], [2, 0]])  # asymmetric
-        with pytest.raises(ValueError):
-            FiniteMetric.from_rows([[1, 1], [1, 0]])  # nonzero diagonal
-        with pytest.raises(ValueError):
-            FiniteMetric.from_rows([[0, -1], [-1, 0]])  # negative
-        with pytest.raises(ValueError):
-            FiniteMetric.from_rows([[0, 1, 5], [1, 0, 1], [5, 1, 0]])  # triangle
+        with pytest.raises(ValueError, match=r"^asymmetric distances at \(0, 1\)$"):
+            FiniteMetric.from_rows([[0, 1], [2, 0]])
+        with pytest.raises(ValueError, match=r"^nonzero diagonal entry at \(0, 0\)$"):
+            FiniteMetric.from_rows([[1, 1], [1, 0]])
+        with pytest.raises(ValueError, match=r"^negative distance at \(0, 1\)$"):
+            FiniteMetric.from_rows([[0, -1], [-1, 0]])
+        with pytest.raises(
+            ValueError, match=r"^triangle inequality fails: d\(0,2\) > d\(0,1\) \+ d\(1,2\)$"
+        ):
+            FiniteMetric.from_rows([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
 
     def test_entourage_at_zero(self):
         assert metric_entourage(PATH3, 0) == GroundSet(3).diagonal()
@@ -275,3 +284,100 @@ class TestMaxMetricProduct:
         prod_metric = max_metric_product(unit, unit)
         bounded = structure_from_metric(prod_metric, [1])
         assert bounded.emax == product_structure(s, s).emax
+
+
+# Mixed denominators: halves, thirds, sevenths and integers.
+WEIGHTS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(1), Fraction(2), Fraction(5, 2))
+DEFECTS = ("none", "triangle", "asymmetry", "diagonal", "negative")
+
+
+@st.composite
+def distance_matrices(draw, defects=DEFECTS):
+    """Shortest-path metric over random edge weights, then at most one defect.
+
+    A "triangle" defect raises one symmetric pair of entries, which breaks
+    the triangle inequality unless no detour is shorter; the others break
+    symmetry, the diagonal or the sign of one entry.
+    """
+    n = draw(st.integers(1, 12))
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            d[a][b] = d[b][a] = draw(st.sampled_from(WEIGHTS))
+    for k in range(n):
+        for a in range(n):
+            for b in range(n):
+                if d[a][k] + d[k][b] < d[a][b]:
+                    d[a][b] = d[a][k] + d[k][b]
+    defect = draw(st.sampled_from(defects))
+    a = draw(st.integers(0, n - 1))
+    b = draw(st.integers(0, n - 1).filter(lambda b: n == 1 or b != a))
+    delta = draw(st.sampled_from(WEIGHTS))
+    if defect == "diagonal":
+        d[a][a] = delta
+    elif defect == "triangle" and a != b:
+        d[a][b] = d[b][a] = d[a][b] + delta
+    elif defect == "asymmetry" and a != b:
+        d[a][b] += delta
+    elif defect == "negative" and a != b:
+        d[a][b] = d[b][a] = -delta
+    return tuple(tuple(row) for row in d)
+
+
+def kernel_verdict(rows):
+    try:
+        FiniteMetric(GroundSet(len(rows)), rows)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestIntegerKernel:
+    """The integer kernel against straight Fraction loops."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(distance_matrices())
+    def test_accepts_and_rejects_like_fraction_loops(self, rows):
+        assert kernel_verdict(rows) == o_metric_violation(rows)
+
+    def test_first_triangle_failure_is_lexicographic(self):
+        # (0,1,2), (0,1,3) and more fail; the first triple in (a, b, c) order wins
+        m = [[0, 1, 5, 5], [1, 0, 1, 1], [5, 1, 0, 1], [5, 1, 1, 0]]
+        rows = tuple(tuple(Fraction(x) for x in row) for row in m)
+        assert kernel_verdict(rows) == o_metric_violation(rows)
+        assert kernel_verdict(rows) == "triangle inequality fails: d(0,2) > d(0,1) + d(1,2)"
+
+    @settings(max_examples=150, deadline=None)
+    @given(distance_matrices(defects=("none",)), st.data())
+    def test_entourage_matches_fraction_filter(self, rows, data):
+        m = FiniteMetric(GroundSet(len(rows)), rows)
+        values = sorted({x for row in rows for x in row})
+        r = data.draw(
+            st.one_of(
+                st.sampled_from(values),
+                st.sampled_from(values).map(lambda x: x + Fraction(1, 10**9)),
+                st.sampled_from(values).map(lambda x: max(x - Fraction(1, 10**9), Fraction(0))),
+                st.fractions(min_value=0, max_value=m.diameter() + 1, max_denominator=60),
+            )
+        )
+        assert metric_entourage(m, r).pairs == o_metric_entourage(m.dist, r)
+
+    @pytest.mark.parametrize("r", ["0", "1/3", "1/2", "2/3", "1", "7/6", "3/2", "100"])
+    def test_entourage_between_representable_distances(self, r):
+        # every distance is a multiple of 1/2; radii off that grid round down
+        m = FiniteMetric.from_rows(
+            [["0", "1/2", "1"], ["1/2", "0", "3/2"], ["1", "3/2", "0"]]
+        )
+        radius = Fraction(r)
+        assert metric_entourage(m, radius).pairs == o_metric_entourage(m.dist, radius)
+        assert metric_entourage(m, r) == metric_entourage(m, radius)
+
+    def test_integer_matrix_is_not_part_of_the_value(self):
+        half = Fraction(1, 2)
+        a = FiniteMetric.from_rows([["0", "1/2"], ["1/2", "0"]])
+        b = FiniteMetric(GroundSet(2), ((0, half), (half, 0)))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == (
+            "FiniteMetric(ground=GroundSet(size=2), dist=((Fraction(0, 1), Fraction(1, 2)),"
+            " (Fraction(1, 2), Fraction(0, 1))))"
+        )
