@@ -31,6 +31,7 @@ from .documents import (
     ParsedSpace,
     build_sequence,
     emit,
+    load_json,
     parse_certificate,
     parse_space,
     realize_sfcdc,
@@ -68,10 +69,7 @@ def _load_sequence(seq_doc: object, space: ParsedSpace):
 
 
 def _read_sequence_doc(path: str) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON: {exc}") from exc
+    doc = load_json(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise DocumentError("sequence document must be an object")
     return doc

@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .relations import GroundSet, Relation, union_all
+from .relations import GroundSet, Pair, Relation
 from .spaces import CoarseStructure
 
 
@@ -133,21 +133,29 @@ class WitnessReport:
         }
 
 
-def _disjoint_offense(family: Family, e: Relation) -> Optional[tuple]:
-    """First pair of distinct members joined by e, or None."""
+def member_clashes(
+    members: Sequence[frozenset[int]], pairs: Iterable[Pair]
+) -> Iterator[tuple[int, int, Pair]]:
+    """Every (i, j, (a, b)) with i != j, a in members[i] and b in members[j].
+
+    The one E-disjointness kernel: one pass over the pairs, in the order given,
+    through a point -> member index; i, then j, ascend within a pair.
+    """
     holding: dict[int, list[int]] = {}
-    for idx, m in enumerate(family.members):
+    for idx, m in enumerate(members):
         for p in m:
             holding.setdefault(p, []).append(idx)
-    for a, b in sorted(e.pairs):
-        for ui in holding.get(a, ()):
-            for vi in holding.get(b, ()):
-                if ui != vi:
-                    return (
-                        sorted(family.members[ui]),
-                        sorted(family.members[vi]),
-                        [a, b],
-                    )
+    for a, b in pairs:
+        for i in holding.get(a, ()):
+            for j in holding.get(b, ()):
+                if i != j:
+                    yield i, j, (a, b)
+
+
+def _disjoint_offense(family: Family, e: Relation) -> Optional[tuple]:
+    """First pair of distinct members joined by e, or None."""
+    for i, j, (a, b) in member_clashes(family.members, sorted(e.pairs)):
+        return sorted(family.members[i]), sorted(family.members[j]), [a, b]
     return None
 
 
@@ -155,25 +163,28 @@ def is_disjoint(family: Family, e: Relation) -> bool:
     """True iff (U x V) misses e for every pair of distinct members U, V."""
     if family.ground != e.ground:
         raise ValueError("family and relation on different ground sets")
-    return _disjoint_offense(family, e) is None
+    return next(member_clashes(family.members, e.pairs), None) is None
 
 
 def squares_union(family: Family) -> Relation:
-    """Union of U x U over the members of the family."""
-    return union_all(
-        family.ground,
-        [
-            Relation(family.ground, frozenset((a, b) for a in m for b in m))
-            for m in family.members
-        ],
-    )
+    """Union of U x U over the members of the family.
+
+    The reference definition of uniform boundedness; is_uniformly_bounded
+    tests the equivalent anchor stars instead of building this relation.
+    """
+    return Relation(family.ground, frozenset((a, b) for m in family.members for a in m for b in m))
 
 
 def is_uniformly_bounded(family: Family, structure: CoarseStructure) -> bool:
-    """True iff the union of member squares is an entourage of the structure."""
+    """True iff the union of member squares is an entourage of the structure.
+
+    The maximal entourage is an equivalence relation, so U x U lies in it iff
+    the anchor star {(min U, p) : p in U} does: sum |U| pairs, not sum |U|^2.
+    """
     if family.ground != structure.ground:
         raise ValueError("family and structure on different ground sets")
-    return structure.contains(squares_union(family))
+    star = frozenset((min(m), p) for m in family.members for p in m)
+    return structure.contains(Relation(family.ground, star))
 
 
 def check_witness(

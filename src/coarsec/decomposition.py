@@ -24,6 +24,7 @@ from .covers import (
     Family,
     ProviderError,
     is_uniformly_bounded,
+    member_clashes,
 )
 from .relations import GroundSet, Relation
 from .spaces import CoarseStructure, generate
@@ -115,30 +116,18 @@ def check_decomposition(
     for t, part in enumerate(decomposition.parts, start=1):
         if not disjoint_ok:
             break
-        for a in range(len(part)):
-            for b in range(a + 1, len(part)):
-                hit = next(
-                    ((x, y) for x, y in e.pairs if x in part[a] and y in part[b]),
-                    None,
-                )
+        clash = min(
+            ((min(i, j), max(i, j)) for i, j, _ in member_clashes(part, e.pairs)), default=None
+        )
+        if clash is not None:
+            disjoint_ok = False
+            if failure is None:
+                # the least clashing member pair; its hit as the pair-by-pair scan finds it
+                a, b = part[clash[0]], part[clash[1]]
+                hit = next(((x, y) for x, y in e.pairs if x in a and y in b), None)
                 if hit is None:
-                    hit = next(
-                        ((x, y) for x, y in e.pairs if x in part[b] and y in part[a]),
-                        None,
-                    )
-                if hit is not None:
-                    disjoint_ok = False
-                    if failure is None:
-                        failure = (
-                            "part-not-disjoint",
-                            t,
-                            sorted(part[a]),
-                            sorted(part[b]),
-                            [hit[0], hit[1]],
-                        )
-                    break
-            if not disjoint_ok:
-                break
+                    hit = next((x, y) for x, y in e.pairs if x in b and y in a)
+                failure = ("part-not-disjoint", t, sorted(a), sorted(b), [hit[0], hit[1]])
 
     member_set = set(family.members)
     members_ok = True
@@ -186,39 +175,34 @@ def find_decomposition(
     if not target <= suffix_union[0]:
         return None
 
-    def clashes(m: frozenset[int], placed: list[frozenset[int]]) -> bool:
-        for other in placed:
-            if any(
-                (x in m and y in other) or (x in other and y in m) for x, y in e.pairs
-            ):
-                return True
-        return False
+    clash: list[set[int]] = [set() for _ in candidates]
+    for i, j, _ in member_clashes(candidates, e.pairs):
+        clash[i].add(j)
+        clash[j].add(i)
 
-    parts: list[list[frozenset[int]]] = [[] for _ in range(n)]
+    parts: list[list[int]] = [[] for _ in range(n)]
 
-    def search(i: int, covered: frozenset[int]) -> Optional[list[list[frozenset[int]]]]:
+    def search(i: int, covered: frozenset[int]) -> Optional[list[list[int]]]:
         if not target <= (covered | suffix_union[i]):
             return None
         if i == len(candidates):
             return [list(p) for p in parts] if covered == target else None
-        m = candidates[i]
         result = search(i + 1, covered)
         if result is not None:
             return result
-        for slot in range(n):
-            if clashes(m, parts[slot]):
-                continue
-            parts[slot].append(m)
-            result = search(i + 1, covered | m)
-            parts[slot].pop()
-            if result is not None:
-                return result
+        for slot in parts:
+            if clash[i].isdisjoint(slot):
+                slot.append(i)
+                result = search(i + 1, covered | candidates[i])
+                slot.pop()
+                if result is not None:
+                    return result
         return None
 
     found = search(0, frozenset())
     if found is None:
         return None
-    return Decomposition(target, tuple(tuple(p) for p in found if p))
+    return Decomposition(target, tuple(tuple(candidates[i] for i in p) for p in found if p))
 
 
 @dataclass(frozen=True)

@@ -49,19 +49,38 @@ def _expect_list(value: object, path: str) -> list:
 def _expect_int(value: object, path: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         _fail(path, f"expected an integer, got {value!r}")
+    if abs(value) >= _LONG_INT:
+        _fail(path, f"integer literal longer than {MAX_RATIONAL_CHARS} digits")
     return value
 
 
 # Bounds on rational strings, checked before Fraction parses them: the
-# exponent of "1e1000000000" alone would make a 10**9-digit integer.
+# exponent of "1e1000000000" alone would make a 10**9-digit integer.  Integer
+# literals get the same digit bound: the least integer past it is _LONG_INT.
 MAX_RATIONAL_CHARS = 256
 MAX_RATIONAL_EXPONENT = 256
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+_LONG_INT = 10**MAX_RATIONAL_CHARS
+
+
+def load_json(text: str) -> object:
+    """Parse JSON text; integers past the digit bound fail where they are read.
+
+    A literal past int()'s own digit limit fails json.loads; the second parse
+    reads every over-long literal as _LONG_INT, which _expect_int rejects.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"invalid JSON: {exc}") from exc
+    except ValueError:
+        long_int = lambda s: _LONG_INT if len(s.lstrip("-")) > MAX_RATIONAL_CHARS else int(s)
+        return json.loads(text, parse_int=long_int)
 
 
 def _parse_fraction(value: object, path: str) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return Fraction(_expect_int(value, path))
     if isinstance(value, str):
         if len(value) > MAX_RATIONAL_CHARS:
             _fail(path, f"rational string longer than {MAX_RATIONAL_CHARS} characters")
@@ -104,52 +123,40 @@ class ParsedSpace:
 
 def parse_space(text: str) -> ParsedSpace:
     """Parse a space document of kind "generated" or "metric"."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON: {exc}") from exc
-    doc = _expect_object(raw, "$")
+    doc = _expect_object(load_json(text), "$")
     kind = doc.get("kind")
+    if kind not in ("generated", "metric"):
+        _fail("kind", f'expected "generated" or "metric", got {kind!r}')
+    size = _expect_int(doc.get("size"), "size")
+    if size < 1:
+        _fail("size", f"must be >= 1, got {size}")
+    ground = GroundSet(size)
     if kind == "generated":
-        size = _expect_int(doc.get("size"), "size")
-        if size < 1:
-            _fail("size", f"must be >= 1, got {size}")
-        ground = GroundSet(size)
         generators = [
             _parse_pairs(g, ground, f"generators[{i}]")
             for i, g in enumerate(_expect_list(doc.get("generators"), "generators"))
         ]
         return ParsedSpace(generate(ground, generators), None, doc)
-    if kind == "metric":
-        size = _expect_int(doc.get("size"), "size")
-        if size < 1:
-            _fail("size", f"must be >= 1, got {size}")
-        rows_raw = _expect_list(doc.get("dist"), "dist")
-        if len(rows_raw) != size:
-            _fail("dist", f"expected {size} rows, got {len(rows_raw)}")
-        rows = []
-        for a, row_raw in enumerate(rows_raw):
-            row = _expect_list(row_raw, f"dist[{a}]")
-            if len(row) != size:
-                _fail(f"dist[{a}]", f"expected {size} entries, got {len(row)}")
-            rows.append(
-                tuple(_parse_fraction(x, f"dist[{a}][{b}]") for b, x in enumerate(row))
-            )
-        try:
-            metric = FiniteMetric(GroundSet(size), tuple(rows))
-        except ValueError as exc:
-            _fail("dist", str(exc))
-        scales_raw = _expect_list(doc.get("scales"), "scales")
-        scales = []
-        for i, s in enumerate(scales_raw):
-            r = _parse_fraction(s, f"scales[{i}]")
-            if r < 0:
-                _fail(f"scales[{i}]", f"scale must be nonnegative, got {r}")
-            scales.append(r)
-        structure = structure_from_metric(metric, scales)
-        return ParsedSpace(structure, metric, doc)
-    _fail("kind", f'expected "generated" or "metric", got {kind!r}')
-    raise AssertionError("unreachable")
+    rows_raw = _expect_list(doc.get("dist"), "dist")
+    if len(rows_raw) != size:
+        _fail("dist", f"expected {size} rows, got {len(rows_raw)}")
+    rows = []
+    for a, row_raw in enumerate(rows_raw):
+        row = _expect_list(row_raw, f"dist[{a}]")
+        if len(row) != size:
+            _fail(f"dist[{a}]", f"expected {size} entries, got {len(row)}")
+        rows.append(tuple(_parse_fraction(x, f"dist[{a}][{b}]") for b, x in enumerate(row)))
+    try:
+        metric = FiniteMetric(ground, tuple(rows))
+    except ValueError as exc:
+        _fail("dist", str(exc))
+    scales = []
+    for i, s in enumerate(_expect_list(doc.get("scales"), "scales")):
+        r = _parse_fraction(s, f"scales[{i}]")
+        if r < 0:
+            _fail(f"scales[{i}]", f"scale must be nonnegative, got {r}")
+        scales.append(r)
+    return ParsedSpace(structure_from_metric(metric, scales), metric, doc)
 
 
 def build_sequence(
@@ -223,11 +230,7 @@ def _parse_families(value: object, path: str) -> tuple[tuple[tuple[int, ...], ..
 
 def parse_certificate(text: str) -> ParsedCertificate:
     """Parse a certificate document of kind "property-c" or "sfcdc"."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON: {exc}") from exc
-    doc = _expect_object(raw, "$")
+    doc = _expect_object(load_json(text), "$")
     kind = doc.get("kind")
     if kind not in ("property-c", "sfcdc"):
         _fail("kind", f'expected "property-c" or "sfcdc", got {kind!r}')
@@ -258,15 +261,20 @@ def parse_certificate(text: str) -> ParsedCertificate:
     return ParsedCertificate(kind, sequence_doc, families, decomposition_rows, doc)
 
 
-def realize_witness(parsed: ParsedCertificate, ground: GroundSet) -> PropertyCWitness:
-    if parsed.kind != "property-c":
-        raise DocumentError(f'kind: expected "property-c", got {parsed.kind!r}')
+def _realize_families(parsed: ParsedCertificate, ground: GroundSet) -> list[Family]:
     families = []
     for i, members in enumerate(parsed.families):
         try:
             families.append(Family(ground, tuple(frozenset(m) for m in members)))
         except ValueError as exc:
             _fail(f"families[{i}]", str(exc))
+    return families
+
+
+def realize_witness(parsed: ParsedCertificate, ground: GroundSet) -> PropertyCWitness:
+    if parsed.kind != "property-c":
+        raise DocumentError(f'kind: expected "property-c", got {parsed.kind!r}')
+    families = _realize_families(parsed, ground)
     try:
         return PropertyCWitness(tuple(families))
     except ValueError as exc:
@@ -278,12 +286,7 @@ def realize_sfcdc(parsed: ParsedCertificate, ground: GroundSet) -> SfcdcCertific
     if parsed.kind != "sfcdc":
         raise DocumentError(f'kind: expected "sfcdc", got {parsed.kind!r}')
     assert parsed.decomposition_rows is not None
-    families = []
-    for i, members in enumerate(parsed.families):
-        try:
-            families.append(Family(ground, tuple(frozenset(m) for m in members)))
-        except ValueError as exc:
-            _fail(f"families[{i}]", str(exc))
+    families = _realize_families(parsed, ground)
     if not families:
         _fail("families", "must be nonempty")
     if len(parsed.decomposition_rows) != len(families) - 1:

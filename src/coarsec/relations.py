@@ -137,19 +137,30 @@ class Relation:
     def equivalence_closure(self) -> "Relation":
         """Smallest reflexive, symmetric, transitive relation containing this one.
 
-        Fixpoint iteration: seed with the diagonal and the inverse, then union
-        in self-compositions until stable.  Terminates because the ground set
-        is finite.
+        A disjoint-set forest (union by size, path halving) joins the ends of
+        every pair; the closure is the union of the squares of its classes.
         """
-        seed = set(self.pairs)
-        seed.update((p, p) for p in self.ground.points())
-        seed.update((b, a) for a, b in self.pairs)
-        current = Relation(self.ground, frozenset(seed))
-        while True:
-            step = current.union(current.compose(current))
-            if step == current:
-                return current
-            current = step
+        parent = list(range(self.ground.size))
+        size = [1] * self.ground.size
+
+        def find(p: int) -> int:
+            while parent[p] != p:
+                parent[p] = p = parent[parent[p]]
+            return p
+
+        for a, b in self.pairs:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                if size[ra] < size[rb]:
+                    ra, rb = rb, ra
+                parent[rb] = ra
+                size[ra] += size[rb]
+        classes: dict[int, list[int]] = {}
+        for p in self.ground.points():
+            classes.setdefault(find(p), []).append(p)
+        return Relation(
+            self.ground, frozenset((a, b) for cls in classes.values() for a in cls for b in cls)
+        )
 
 
 def union_all(ground: GroundSet, relations: Iterable[Relation]) -> Relation:

@@ -62,7 +62,7 @@ def generate(ground: GroundSet, generators: Iterable[Relation]) -> CoarseStructu
     generators and the diagonal.
     """
     gens = tuple(generators)
-    emax = union_all(ground, gens).union(ground.diagonal()).equivalence_closure()
+    emax = union_all(ground, gens).equivalence_closure()
     return CoarseStructure(ground, gens, emax)
 
 

@@ -173,3 +173,113 @@ def o_metric_entourage(rows, r):
     """Pairs at distance at most r, compared as Fractions."""
     n = len(rows)
     return frozenset((a, b) for a in range(n) for b in range(n) if rows[a][b] <= r)
+
+
+def o_fixpoint_closure(n, pairs):
+    """The pair-set fixpoint the equivalence closure used before it became a
+    disjoint-set forest, on raw pair sets: seed with the diagonal and the
+    inverse, then union in self-compositions until stable.
+    """
+    seed = set(pairs)
+    seed.update((p, p) for p in range(n))
+    seed.update((b, a) for a, b in pairs)
+    current = frozenset(seed)
+    while True:
+        successors = {}
+        for b, c in current:
+            successors.setdefault(b, set()).add(c)
+        step = current | frozenset((a, c) for a, b in current for c in successors.get(b, ()))
+        if step == current:
+            return current
+        current = step
+
+
+def o_is_uniformly_bounded(members, emax_pairs):
+    """Every member square lies in the maximal entourage."""
+    return all((a, b) in emax_pairs for m in members for a in m for b in m)
+
+
+def o_check_decomposition(target, pairs, n, decomposition_target, parts, members):
+    """The O(m^2 |E|) decomposition check, clause by clause, on raw data.
+
+    Returns (parts_ok, union_ok, disjoint_ok, members_ok, failure).  For each
+    member pair (a, b), a < b, of a part it scans the pairs in their iteration
+    order, first from a to b and then from b to a, for the first hit.
+    """
+    target = frozenset(target)
+    parts_ok = len(parts) <= n
+    failure = None
+    if not parts_ok:
+        failure = ("too-many-parts", len(parts), n)
+
+    union = set()
+    for part in parts:
+        for m in part:
+            union |= m
+    union_ok = union == target and decomposition_target == target
+    if not union_ok and failure is None:
+        if decomposition_target != target:
+            failure = ("target-mismatch", sorted(decomposition_target), sorted(target))
+        else:
+            diff = sorted(union ^ target)
+            failure = ("union-mismatch", diff[0])
+
+    disjoint_ok = True
+    for t, part in enumerate(parts, start=1):
+        if len(set(part)) < len(part):
+            disjoint_ok = False
+            if failure is None:
+                repeated = next(m for i, m in enumerate(part) if m in part[:i])
+                failure = ("duplicate-piece", t, sorted(repeated))
+            break
+    for t, part in enumerate(parts, start=1):
+        if not disjoint_ok:
+            break
+        for a in range(len(part)):
+            for b in range(a + 1, len(part)):
+                hit = next(
+                    ((x, y) for x, y in pairs if x in part[a] and y in part[b]),
+                    None,
+                )
+                if hit is None:
+                    hit = next(
+                        ((x, y) for x, y in pairs if x in part[b] and y in part[a]),
+                        None,
+                    )
+                if hit is not None:
+                    disjoint_ok = False
+                    if failure is None:
+                        failure = (
+                            "part-not-disjoint",
+                            t,
+                            sorted(part[a]),
+                            sorted(part[b]),
+                            [hit[0], hit[1]],
+                        )
+                    break
+            if not disjoint_ok:
+                break
+
+    member_set = set(members)
+    members_ok = True
+    for t, part in enumerate(parts, start=1):
+        for m in part:
+            if m not in member_set:
+                members_ok = False
+                if failure is None:
+                    failure = ("not-a-member", t, sorted(m))
+                break
+        if not members_ok:
+            break
+
+    return parts_ok, union_ok, disjoint_ok, members_ok, failure
+
+
+def o_disjoint_offense(members, pairs):
+    """First (U, V, [a, b]) over the sorted pairs, then U's and V's indices."""
+    for a, b in sorted(pairs):
+        for i, u in enumerate(members):
+            for j, v in enumerate(members):
+                if i != j and a in u and b in v:
+                    return sorted(u), sorted(v), [a, b]
+    return None

@@ -128,6 +128,37 @@ class TestVerifyWitness:
         assert code == 2
         assert "dist[0][1]" in err
 
+    @pytest.mark.parametrize("digits", [4000, 5000])
+    def test_long_integer_distance_exits_2_with_field_path(self, files, capsys, digits):
+        # json.dumps cannot write a literal past the 4300-digit conversion limit
+        tmp_path, _ = files
+        big = "7" * digits
+        space = tmp_path / "s.json"
+        space.write_text(
+            f'{{"kind": "metric", "size": 2, "dist": [[0, {big}], [{big}, 0]], "scales": [1]}}',
+            encoding="utf-8",
+        )
+        code, out, err = run_main(capsys, "info", "--space", str(space))
+        assert code == 2 and out == ""
+        assert err == "document error: dist[0][1]: integer literal longer than 256 digits\n"
+
+    def test_long_integer_in_sequence_document_exits_2(self, files, capsys):
+        tmp_path, write = files
+        seq = tmp_path / "seq.json"
+        seq.write_text(f'{{"kind": "explicit", "items": [[[0, {"1" * 5000}]]]}}', encoding="utf-8")
+        code, _, err = run_main(
+            capsys,
+            "cad-to-sfcdc",
+            "--space",
+            write("s.json", THREE_GEN),
+            "--sequence",
+            str(seq),
+            "--out",
+            str(tmp_path / "out.json"),
+        )
+        assert code == 2
+        assert "sequence.items[0][0][1]: integer literal longer than 256 digits" in err
+
     def test_missing_file_exits_2(self, files, capsys):
         _, write = files
         code, _, err = run_main(

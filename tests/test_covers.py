@@ -19,7 +19,12 @@ from coarsec import (
     squares_union,
 )
 
-from oracles import o_is_disjoint
+from oracles import (
+    o_disjoint_offense,
+    o_equivalence_closure,
+    o_is_disjoint,
+    o_is_uniformly_bounded,
+)
 
 
 def rel(n, pairs):
@@ -128,6 +133,22 @@ class TestIsDisjoint:
         if is_disjoint(f, e_big):
             assert is_disjoint(f, e_small)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_witness_failure_names_first_sorted_pair(self, data):
+        n = data.draw(st.integers(1, 8))
+        point = st.integers(0, n - 1)
+        members = data.draw(st.sets(st.frozensets(point, min_size=1, max_size=n), max_size=5))
+        pairs = data.draw(st.frozensets(st.tuples(point, point), max_size=12))
+        g = GroundSet(n)
+        f = Family(g, tuple(members))
+        f = Family(g, f.members + tuple(frozenset({p}) for p in range(n) if p not in f.covered()))
+        seq = EntourageSequence(g, (Relation(g, pairs),))
+        report = check_witness(generate(g, [g.full()]), seq, PropertyCWitness((f,)))
+        offense = o_disjoint_offense(f.members, pairs)
+        assert report.disjoint_ok == (offense is None)
+        assert report.failure == (None if offense is None else ("not-disjoint", 1) + offense)
+
 
 class TestUniformlyBounded:
     def test_singletons_always_bounded(self):
@@ -149,6 +170,43 @@ class TestUniformlyBounded:
     def test_squares_union(self):
         f = fam(3, {0, 1})
         assert squares_union(f) == rel(3, {(0, 0), (0, 1), (1, 0), (1, 1)})
+
+
+@st.composite
+def structure_and_family(draw, max_size=12):
+    """A generated structure and a family whose members may overlap."""
+    n = draw(st.integers(1, max_size))
+    point = st.integers(0, n - 1)
+    gens = draw(st.lists(st.frozensets(st.tuples(point, point), max_size=n), max_size=3))
+    members = draw(st.sets(st.frozensets(point, min_size=1, max_size=n), max_size=6))
+    g = GroundSet(n)
+    return generate(g, [Relation(g, p) for p in gens]), Family(g, tuple(members)), gens
+
+
+class TestAnchorStars:
+    """is_uniformly_bounded tests anchor stars; the reference is member squares."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(structure_and_family())
+    def test_matches_squares_oracle(self, case):
+        s, f, gens = case
+        emax = o_equivalence_closure(s.ground.size, frozenset().union(*gens))
+        expected = o_is_uniformly_bounded(f.members, emax)
+        assert is_uniformly_bounded(f, s) == expected
+        assert squares_union(f).is_subset(s.emax) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(structure_and_family(max_size=40))
+    def test_matches_squares_union_up_to_40_points(self, case):
+        s, f, _ = case
+        assert is_uniformly_bounded(f, s) == s.contains(squares_union(f))
+
+    def test_member_bounded_only_through_its_own_least_point(self):
+        # {1, 2} is bounded; the least point of the family, 0, is in another class
+        s = generate(GroundSet(4), [rel(4, {(1, 2)})])
+        assert is_uniformly_bounded(fam(4, {0}, {1, 2}), s)
+        assert not is_uniformly_bounded(fam(4, {0}, {1, 2, 3}), s)
+        assert not is_uniformly_bounded(fam(4, {0, 3}, {1, 2}), s)
 
 
 class TestCheckWitness:

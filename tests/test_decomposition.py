@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsec import (
     CadProvider,
@@ -24,7 +26,7 @@ from coarsec import (
 )
 
 from gen import random_cad_provider, random_metric
-from oracles import o_find_decomposition
+from oracles import o_check_decomposition, o_find_decomposition
 
 
 def rel(n, pairs):
@@ -101,6 +103,98 @@ class TestCheckDecomposition:
             check_decomposition(frozenset({0}), rel(3, set()), 1, d, SINGLETONS4)
 
 
+@st.composite
+def decomposition_cases(draw, max_size=8):
+    """Overlapping members and non-reflexive E.
+
+    Half the cases break only disjointness, if anything: their parts hold
+    distinct family members, cover the target and fit the part count.  The
+    rest may break any clause.
+    """
+    n = draw(st.integers(1, max_size))
+    point = st.integers(0, n - 1)
+    subset = st.frozensets(point, min_size=1, max_size=n)
+    members = draw(st.sets(subset, max_size=7))
+    family = Family(GroundSet(n), tuple(members))
+    pairs = draw(st.frozensets(st.tuples(point, point), min_size=1, max_size=3 * n))
+    if len(members) > 1 and draw(st.booleans()):
+        piece = st.sampled_from(family.members)
+        part = st.lists(piece, min_size=2, max_size=5, unique=True)
+        parts = draw(st.lists(part, min_size=1, max_size=3))
+        target = frozenset().union(*(m for part in parts for m in part))
+        d = Decomposition(target, parts)
+        return target, rel(n, pairs), max(len(parts), 1), d, family
+    piece = st.sampled_from(family.members) | subset if members else subset
+    parts = draw(st.lists(st.lists(piece, max_size=5), max_size=4))
+    union = frozenset().union(*(m for part in parts for m in part))
+    target = draw(st.just(union) | st.frozensets(point))
+    declared = draw(st.just(target) | st.frozensets(point))
+    parts_allowed = draw(st.integers(1, 4))
+    return target, rel(n, pairs), parts_allowed, Decomposition(declared, parts), family
+
+
+def agrees_with_pair_scan(target, e, parts_allowed, d, family):
+    report = check_decomposition(target, e, parts_allowed, d, family)
+    expected = o_check_decomposition(
+        target, e.pairs, parts_allowed, d.target, d.parts, family.members
+    )
+    got = (report.parts_ok, report.union_ok, report.disjoint_ok, report.members_ok, report.failure)
+    assert got == expected
+    return report
+
+
+class TestIndexedDisjointness:
+    """check_decomposition's indexed clause against the O(m^2 |E|) pair scan."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(decomposition_cases())
+    def test_report_matches_pair_scan(self, case):
+        agrees_with_pair_scan(*case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_failure_tuple_matches_on_40_point_partitions(self, data):
+        n = data.draw(st.integers(2, 40))
+        labels = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+        blocks = {}
+        for p, label in enumerate(labels):
+            blocks.setdefault(label, set()).add(p)
+        family = Family(GroundSet(n), tuple(frozenset(b) for b in blocks.values()))
+        point = st.integers(0, n - 1)
+        pairs = data.draw(st.frozensets(st.tuples(point, point), max_size=4 * n))
+        order = data.draw(st.permutations(family.members))
+        target = frozenset(range(n))
+        d = Decomposition(target, (tuple(order),))
+        report = agrees_with_pair_scan(target, rel(n, pairs), 1, d, family)
+        if report.failure is not None:
+            assert report.failure[0] == "part-not-disjoint"
+
+    def test_reverse_direction_hit(self):
+        # E only runs from the later member to the earlier one
+        target = frozenset({0, 1, 2})
+        f = fam(4, {0}, {1}, {2})
+        d = Decomposition(target, ((frozenset({0}), frozenset({1}), frozenset({2})),))
+        report = check_decomposition(target, rel(4, {(2, 1)}), 1, d, f)
+        assert report.failure == ("part-not-disjoint", 1, [1], [2], [2, 1])
+
+    def test_least_member_pair_wins_over_first_pair_of_e(self):
+        target = frozenset({0, 1, 2, 3})
+        f = fam(4, {0}, {1}, {2}, {3})
+        order = (frozenset({3}), frozenset({0}), frozenset({2}), frozenset({1}))
+        d = Decomposition(target, (order,))
+        report = check_decomposition(target, rel(4, {(0, 1), (1, 3)}), 1, d, f)
+        # member pairs by position: ({3}, {1}) at (0, 3) precedes ({0}, {1}) at (1, 3)
+        assert report.failure == ("part-not-disjoint", 1, [3], [1], [1, 3])
+
+    def test_overlapping_members_under_non_reflexive_e(self):
+        target = frozenset({0, 1, 2})
+        f = fam(3, {0, 1}, {1, 2})
+        d = Decomposition(target, ((frozenset({0, 1}), frozenset({1, 2})),))
+        assert check_decomposition(target, rel(3, {(0, 0), (2, 2)}), 1, d, f).ok
+        report = check_decomposition(target, rel(3, {(1, 1)}), 1, d, f)
+        assert report.failure == ("part-not-disjoint", 1, [0, 1], [1, 2], [1, 1])
+
+
 class TestFindDecomposition:
     def test_single_covering_member(self):
         f = fam(4, {0, 1, 2, 3})
@@ -128,6 +222,18 @@ class TestFindDecomposition:
             d = find_decomposition(target, e, parts, f)
             if d is not None:
                 assert check_decomposition(target, e, parts, d, f).ok
+
+    @settings(max_examples=200, deadline=None)
+    @given(decomposition_cases(max_size=6))
+    def test_clash_table_agrees_with_oracle(self, case):
+        target, e, _, _, family = case
+        for parts_allowed in (1, 2, 3):
+            found = find_decomposition(target, e, parts_allowed, family)
+            assert (found is not None) == o_find_decomposition(
+                target, e.pairs, parts_allowed, family.members
+            )
+            if found is not None:
+                assert check_decomposition(target, e, parts_allowed, found, family).ok
 
     def test_guard_on_candidates(self):
         members = tuple(frozenset({i}) for i in range(13))

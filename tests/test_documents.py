@@ -105,6 +105,27 @@ class TestParseSpace:
         doc = dict(METRIC_DOC, scales=[value])
         assert parse_space(json.dumps(doc)).metric is not None
 
+    @pytest.mark.parametrize("digits", [257, 4000, 5000])
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_long_integer_literal_rejected_with_field_path(self, digits, sign):
+        literal = sign + "1" * digits
+        text = f'{{"kind": "generated", "size": 3, "generators": [[[0, {literal}]]]}}'
+        with pytest.raises(DocumentError, match=r"^generators\[0\]\[0\]\[1\]: integer literal"):
+            parse_space(text)
+
+    def test_integer_literal_within_bound_accepted(self):
+        big = "9" * 256
+        text = f'{{"kind": "metric", "size": 2, "dist": [[0, {big}], [{big}, 0]], "scales": [1]}}'
+        assert parse_space(text).metric.dist[0][1] == 10**256 - 1
+
+    def test_long_integer_in_certificate_rejected(self):
+        text = (
+            '{"kind": "property-c", "sequence": {"kind": "explicit", "items": [[]]}, '
+            f'"families": [[[{"2" * 5000}]]]}}'
+        )
+        with pytest.raises(DocumentError, match=r"^families\[0\]\[0\]\[0\]: integer literal"):
+            parse_certificate(text)
+
 
 class TestSequences:
     def test_scales_sequence(self):

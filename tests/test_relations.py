@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from coarsec import GroundSet, ProductGroundSet, Relation, product_relation, project
 
-from oracles import o_compose, o_equivalence_closure, o_inverse, o_project
+from oracles import (
+    o_compose,
+    o_equivalence_closure,
+    o_fixpoint_closure,
+    o_inverse,
+    o_project,
+)
 
 
 def rel(n, pairs):
@@ -179,6 +185,33 @@ class TestEquivalenceClosure:
         assert r.equivalence_closure().pairs == o_equivalence_closure(
             r.ground.size, r.pairs
         )
+
+
+class TestDisjointSetClosure:
+    """The disjoint-set closure against Warshall and against the old fixpoint."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(relations(max_size=30, max_pairs=40))
+    def test_matches_warshall_up_to_30_points(self, r):
+        assert r.equivalence_closure().pairs == o_equivalence_closure(r.ground.size, r.pairs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(relations(max_size=200, max_pairs=90))
+    def test_matches_pair_set_fixpoint_up_to_200_points(self, r):
+        assert r.equivalence_closure().pairs == o_fixpoint_closure(r.ground.size, r.pairs)
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 200])
+    def test_path_in_any_order_is_one_class(self, n):
+        rng = random.Random(n)
+        steps = [(p + 1, p) if p % 2 else (p, p + 1) for p in range(n - 1)]
+        rng.shuffle(steps)
+        assert rel(n, steps).equivalence_closure() == GroundSet(n).full()
+
+    def test_classes_are_squares(self):
+        r = rel(7, {(0, 3), (3, 5), (6, 1), (2, 2)})
+        classes = [{0, 3, 5}, {1, 6}, {2}, {4}]
+        expected = {(a, b) for c in classes for a in c for b in c}
+        assert r.equivalence_closure().pairs == expected
 
 
 class TestProductAndProject:
