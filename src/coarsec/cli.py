@@ -93,22 +93,12 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify_witness(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace, realize, check) -> int:
+    """Check a certificate; realize and check are the document kind's pair."""
     space = _combined_space(args)
     parsed = parse_certificate(Path(args.certificate).read_text(encoding="utf-8"))
     seq = _load_sequence(parsed.sequence_doc, space)
-    witness = realize_witness(parsed, space.structure.ground)
-    report = check_witness(space.structure, seq, witness)
-    print(json.dumps(report.to_json(), sort_keys=True))
-    return 0 if report.ok else 1
-
-
-def _cmd_check_sfcdc(args: argparse.Namespace) -> int:
-    space = _combined_space(args)
-    parsed = parse_certificate(Path(args.certificate).read_text(encoding="utf-8"))
-    seq = _load_sequence(parsed.sequence_doc, space)
-    certificate = realize_sfcdc(parsed, space.structure.ground)
-    report = check_sfcdc_certificate(space.structure, seq, certificate)
+    report = check(space.structure, seq, realize(parsed, space.structure.ground))
     print(json.dumps(report.to_json(), sort_keys=True))
     return 0 if report.ok else 1
 
@@ -171,7 +161,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     p.add_argument("--space2", help="second factor; verify against the product space")
     p.add_argument("--certificate", required=True)
-    p.set_defaults(handler=_cmd_verify_witness)
+    # the lambdas look the pair up at call time, so rebinding a module global takes effect
+    p.set_defaults(handler=lambda args: _cmd_check(args, realize_witness, check_witness))
 
     p = sub.add_parser(
         "product-witness", help="construct a witness for a product of two spaces"
@@ -186,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     p.add_argument("--space2", help="second factor; check against the product space")
     p.add_argument("--certificate", required=True)
-    p.set_defaults(handler=_cmd_check_sfcdc)
+    p.set_defaults(handler=lambda args: _cmd_check(args, realize_sfcdc, check_sfcdc_certificate))
 
     p = sub.add_parser(
         "cad-to-sfcdc", help="build an sfcdc certificate with the canonical provider"

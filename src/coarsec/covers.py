@@ -45,7 +45,9 @@ class Family:
         for m in members:
             if not m:
                 raise ValueError("family members must be nonempty")
-            if any(not (0 <= p < n) for p in m):
+            if any(type(p) is not int or not (0 <= p < n) for p in m):
+                if any(type(p) is not int for p in m):
+                    raise ValueError(f"member {set(m)!r} has a point that is not an int")
                 raise ValueError(f"member {sorted(m)} outside ground set of size {n}")
         if len(set(members)) != len(members):
             raise ValueError("duplicate family members")

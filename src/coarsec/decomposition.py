@@ -207,9 +207,11 @@ def find_decomposition(
 
 @dataclass(frozen=True)
 class SfcdcCertificate:
-    """Chain of families with explicit binary decompositions between levels.
+    """Chain of families with explicit decompositions between levels.
 
     decompositions[i][k] decomposes families[i].members[k] over families[i+1].
+    The type checks only the row shapes, so it also carries a provider's
+    n-part chains; check_sfcdc_certificate is what requires binary ones.
     """
 
     families: tuple[Family, ...]
@@ -267,17 +269,28 @@ def check_sfcdc_certificate(
     """
     if certificate.ground != structure.ground or l_seq.ground != structure.ground:
         raise ValueError("structure, sequence and certificate must share a ground set")
+    return _check_chain(structure, l_seq, certificate, lambda i: 2)
 
-    root_ok = certificate.families[0].members == (structure.ground.all_points(),)
+
+def _check_chain(
+    structure: CoarseStructure,
+    seq: EntourageSequence,
+    chain: SfcdcCertificate,
+    parts_at: Callable[[int], int],
+) -> SfcdcReport:
+    """The chain clauses, with (seq_i, parts_at(i))-decompositions at level i."""
+    root_ok = chain.families[0].members == (structure.ground.all_points(),)
     failure: Optional[tuple] = None
     if not root_ok:
         failure = ("root-not-whole-space",)
 
     decompositions_ok = True
-    for i, row in enumerate(certificate.decompositions):
-        next_family = certificate.families[i + 1]
-        for k, member in enumerate(certificate.families[i].members):
-            report = check_decomposition(member, l_seq.at(i + 1), 2, row[k], next_family)
+    for i, row in enumerate(chain.decompositions):
+        next_family = chain.families[i + 1]
+        for k, member in enumerate(chain.families[i].members):
+            report = check_decomposition(
+                member, seq.at(i + 1), parts_at(i + 1), row[k], next_family
+            )
             if not report.ok:
                 decompositions_ok = False
                 if failure is None:
@@ -286,7 +299,7 @@ def check_sfcdc_certificate(
         if not decompositions_ok:
             break
 
-    bounded_ok = is_uniformly_bounded(certificate.families[-1], structure)
+    bounded_ok = is_uniformly_bounded(chain.families[-1], structure)
     if not bounded_ok and failure is None:
         failure = ("terminal-not-bounded",)
     return SfcdcReport(root_ok, decompositions_ok, bounded_ok, failure)
@@ -421,31 +434,26 @@ class CadProvider:
         return self.dims[min(i, len(self.dims)) - 1]
 
 
-def _validate_cad_data(
+def _checked_chain(
     structure: CoarseStructure,
     k_seq: EntourageSequence,
     provider: CadProvider,
-    families: tuple[Family, ...],
-    decomps: tuple[tuple[Decomposition, ...], ...],
+    data: tuple[Sequence[Family], Sequence[Sequence[Decomposition]]],
     error: type,
-) -> None:
-    if not families:
-        raise error("provider returned no families")
-    if families[0].members != (structure.ground.all_points(),):
-        raise error("level 1: first family must be the whole space")
-    if len(decomps) != len(families) - 1:
-        raise error("provider decomposition rows do not match its families")
-    for i, row in enumerate(decomps):
-        if len(row) != len(families[i].members):
-            raise error(f"level {i + 1}: decomposition row does not match the family")
-        for k, member in enumerate(families[i].members):
-            report = check_decomposition(
-                member, k_seq.at(i + 1), provider.dim_at(i + 1), row[k], families[i + 1]
-            )
-            if not report.ok:
-                raise error(f"level {i + 1}, member {k}: {report.failure}")
-    if not is_uniformly_bounded(families[-1], structure):
-        raise error(f"level {len(families)}: terminal family is not uniformly bounded")
+) -> SfcdcCertificate:
+    """Provider-shaped chain data as a certificate with (K_i, n_i)-decompositions.
+
+    A malformed chain, or one failing a chain clause, raises the given error
+    with the reason or the report's failure tuple.
+    """
+    try:
+        chain = SfcdcCertificate(*data)
+        report = _check_chain(structure, k_seq, chain, provider.dim_at)
+    except ValueError as exc:
+        raise error(f"chain data is malformed: {exc}") from exc
+    if not report.ok:
+        raise error(f"chain data fails its check: {report.failure}")
+    return chain
 
 
 def cad_to_sfcdc(
@@ -478,83 +486,39 @@ def cad_to_sfcdc(
         j += 1
     k_seq = EntourageSequence(structure.ground, tuple(k_terms))
 
-    families, decomps = provider.build(structure, k_seq)
-    families = tuple(families)
-    decomps = tuple(tuple(row) for row in decomps)
-    _validate_cad_data(structure, k_seq, provider, families, decomps, ProviderError)
+    built = provider.build(structure, k_seq)
+    data = _checked_chain(structure, k_seq, provider, built, ProviderError)
+    refined = refine_chain(data.families, data.decompositions)
+    refined = _checked_chain(structure, k_seq, provider, refined, ConstructionError)
 
-    if len(families) == 1:
-        certificate = SfcdcCertificate((families[0],), ())
-        report = check_sfcdc_certificate(structure, l_seq, certificate)
-        if not report.ok:
-            raise ConstructionError(f"trivial certificate fails its check: {report.failure}")
-        return certificate
-
-    refined, refined_rows = refine_chain(families, decomps)
-    _validate_cad_data(structure, k_seq, provider, refined, refined_rows, ConstructionError)
-
-    out_families: list[Family] = [refined[0]]
+    out_families: list[Family] = [refined.families[0]]
     out_rows: list[tuple[Decomposition, ...]] = []
-
-    for level in range(len(refined) - 1):
+    for level, parent_row in enumerate(refined.decompositions):
         n_j = provider.dim_at(level + 1)
-        parents = out_families[-1]
-        if parents is not refined[level]:
-            raise ConstructionError("unroll lost track of the chain head")
-
-        # Pad each adapted decomposition to exactly n_j layers of pieces.
-        padded: list[tuple[tuple[frozenset[int], ...], ...]] = []
-        for d in refined_rows[level]:
-            parts = list(d.parts) + [()] * (n_j - len(d.parts))
-            padded.append(tuple(parts))
-        suffixes: list[list[frozenset[int]]] = []
-        for parts in padded:
-            suffix: list[frozenset[int]] = [frozenset()] * (n_j + 1)
+        # parent p's parts padded to n_j layers; rests[p][t] unions its layers t..n_j-1
+        padded = [d.parts + ((),) * (n_j - len(d.parts)) for d in parent_row]
+        rests: list[list[frozenset[int]]] = []
+        for layers in padded:
+            rest = [frozenset()] * (n_j + 1)
             for t in range(n_j - 1, -1, -1):
-                layer = frozenset().union(*parts[t]) if parts[t] else frozenset()
-                suffix[t] = suffix[t + 1] | layer
-            suffixes.append(suffix)
+                rest[t] = rest[t + 1].union(*layers[t])
+            rests.append(rest)
 
-        roles: dict[frozenset[int], tuple] = {
-            member: ("parent", p) for p, member in enumerate(parents.members)
-        }
+        # step s splits rests[p][s-1] into layer s-1 and rests[p][s]; earlier pieces stay
         for s in range(1, n_j + 1):
-            if s < n_j:
-                members: list[frozenset[int]] = []
-                new_roles: dict[frozenset[int], tuple] = {}
-                for p in range(len(parents.members)):
-                    for t in range(s):
-                        for piece in padded[p][t]:
-                            members.append(piece)
-                            new_roles[piece] = ("piece",)
-                    bundle = suffixes[p][s]
-                    if bundle:
-                        members.append(bundle)
-                        new_roles[bundle] = ("bundle", p, s)
-                next_fam = Family(structure.ground, tuple(members))
-            else:
-                next_fam = refined[level + 1]
-                new_roles = {m: ("piece",) for m in next_fam.members}
-
             row: list[Decomposition] = []
-            for member in out_families[-1].members:
-                role = roles[member]
-                if role[0] == "piece":
-                    row.append(Decomposition(member, ((member,),)))
-                else:
-                    p = role[1]
-                    start = 0 if role[0] == "parent" else role[2]
-                    first_layer = tuple(padded[p][start])
-                    rest = suffixes[p][start + 1]
-                    parts: list[tuple[frozenset[int], ...]] = []
-                    if first_layer:
-                        parts.append(first_layer)
-                    if rest:
-                        parts.append((rest,))
-                    row.append(Decomposition(member, tuple(parts)))
+            members: list[frozenset[int]] = []
+            for layers, rest in zip(padded, rests):
+                done = [piece for layer in layers[: s - 1] for piece in layer]
+                row += [Decomposition(piece, ((piece,),)) for piece in done]
+                if rest[s - 1]:
+                    split = (layers[s - 1], (rest[s],) if rest[s] else ())
+                    row.append(Decomposition(rest[s - 1], tuple(p for p in split if p)))
+                members += done + list(layers[s - 1]) + ([rest[s]] if rest[s] else [])
             out_rows.append(tuple(row))
-            out_families.append(next_fam)
-            roles = new_roles
+            if s < n_j:
+                out_families.append(Family(structure.ground, tuple(members)))
+        out_families.append(refined.families[level + 1])
 
     certificate = SfcdcCertificate(tuple(out_families), tuple(out_rows))
     report = check_sfcdc_certificate(structure, l_seq, certificate)

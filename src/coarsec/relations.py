@@ -84,10 +84,12 @@ class Relation:
     pairs: frozenset[Pair]
 
     def __post_init__(self) -> None:
-        pairs = frozenset((int(a), int(b)) for a, b in self.pairs)
+        pairs = self.pairs if isinstance(self.pairs, frozenset) else frozenset(self.pairs)
         n = self.ground.size
         for a, b in pairs:
-            if not (0 <= a < n and 0 <= b < n):
+            if not (type(a) is int and type(b) is int and 0 <= a < n and 0 <= b < n):
+                if type(a) is not int or type(b) is not int:
+                    raise ValueError(f"pair {(a, b)!r} has a point that is not an int")
                 raise ValueError(f"pair ({a}, {b}) outside ground set of size {n}")
         object.__setattr__(self, "pairs", pairs)
 
@@ -175,10 +177,9 @@ def union_all(ground: GroundSet, relations: Iterable[Relation]) -> Relation:
 def product_relation(k: Relation, l: Relation) -> Relation:
     """Box relation on the product ground set: both coordinates move by the factors."""
     ground = ProductGroundSet(k.ground, l.ground)
+    m = l.ground.size
     pairs = frozenset(
-        (ground.index(x1, y1), ground.index(x2, y2))
-        for x1, x2 in k.pairs
-        for y1, y2 in l.pairs
+        (x1 * m + y1, x2 * m + y2) for x1, x2 in k.pairs for y1, y2 in l.pairs
     )
     return Relation(ground, pairs)
 
@@ -190,9 +191,7 @@ def project(e: Relation, axis: int) -> Relation:
         raise ValueError("project expects a relation on a product ground set")
     if axis not in (1, 2):
         raise ValueError(f"axis must be 1 or 2, got {axis!r}")
-    coord = 0 if axis == 1 else 1
-    factor = ground.left if axis == 1 else ground.right
-    pairs = frozenset(
-        (ground.unpair(a)[coord], ground.unpair(b)[coord]) for a, b in e.pairs
-    )
-    return Relation(factor, pairs)
+    m = ground.right.size
+    if axis == 1:
+        return Relation(ground.left, frozenset((a // m, b // m) for a, b in e.pairs))
+    return Relation(ground.right, frozenset((a % m, b % m) for a, b in e.pairs))

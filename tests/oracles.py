@@ -283,3 +283,70 @@ def o_disjoint_offense(members, pairs):
                 if i != j and a in u and b in v:
                     return sorted(u), sorted(v), [a, b]
     return None
+
+
+def o_unroll(families, rows, dims):
+    """The role-table unroll of a refined chain into binary steps, on raw data.
+
+    families is a tuple of member tuples (frozensets); rows[i][k] is the
+    (target, parts) pair decomposing families[i][k] over families[i + 1].
+    Level j (1-based) takes dims[min(j, len(dims)) - 1] steps.  Every member
+    of the chain under construction is tagged as a parent, a bundle (p, s) of
+    parent p's parts s.. or a finished piece, and its row is read off the tag.
+    Returns (families, rows) of the binary chain in the same raw shape.
+    """
+    out_families = [tuple(families[0])]
+    out_rows = []
+    for level in range(len(families) - 1):
+        n_j = dims[min(level + 1, len(dims)) - 1]
+        parents = families[level]
+        padded = []
+        for _, parts in rows[level]:
+            padded.append(tuple(parts) + ((),) * (n_j - len(parts)))
+        suffixes = []
+        for parts in padded:
+            suffix = [frozenset()] * (n_j + 1)
+            for t in range(n_j - 1, -1, -1):
+                layer = frozenset()
+                for piece in parts[t]:
+                    layer = layer | piece
+                suffix[t] = suffix[t + 1] | layer
+            suffixes.append(suffix)
+
+        roles = {member: ("parent", p) for p, member in enumerate(parents)}
+        for s in range(1, n_j + 1):
+            if s < n_j:
+                members = []
+                new_roles = {}
+                for p in range(len(parents)):
+                    for t in range(s):
+                        for piece in padded[p][t]:
+                            members.append(piece)
+                            new_roles[piece] = ("piece",)
+                    bundle = suffixes[p][s]
+                    if bundle:
+                        members.append(bundle)
+                        new_roles[bundle] = ("bundle", p, s)
+                next_members = tuple(members)
+            else:
+                next_members = tuple(families[level + 1])
+                new_roles = {m: ("piece",) for m in next_members}
+
+            row = []
+            for member in out_families[-1]:
+                role = roles[member]
+                if role[0] == "piece":
+                    row.append((member, ((member,),)))
+                    continue
+                p = role[1]
+                start = 0 if role[0] == "parent" else role[2]
+                parts = []
+                if padded[p][start]:
+                    parts.append(tuple(padded[p][start]))
+                if suffixes[p][start + 1]:
+                    parts.append((suffixes[p][start + 1],))
+                row.append((member, tuple(parts)))
+            out_rows.append(tuple(row))
+            out_families.append(next_members)
+            roles = new_roles
+    return tuple(out_families), tuple(out_rows)

@@ -56,6 +56,11 @@ class TestFamily:
         with pytest.raises(ValueError):
             fam(2, {0, 2})
 
+    def test_rejects_non_int_points(self):
+        for member in ({1.5}, {True}, {0, 2.0}):
+            with pytest.raises(ValueError, match="not an int"):
+                Family(GroundSet(3), (frozenset(member),))
+
     def test_empty_family_allowed(self):
         f = Family(GroundSet(3), ())
         assert f.covered() == frozenset()

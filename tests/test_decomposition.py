@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from coarsec import (
     EntourageSequence,
     Family,
     GroundSet,
+    ProductGroundSet,
     ProviderError,
     Relation,
     SfcdcCertificate,
@@ -26,7 +28,7 @@ from coarsec import (
 )
 
 from gen import random_cad_provider, random_metric
-from oracles import o_check_decomposition, o_find_decomposition
+from oracles import o_check_decomposition, o_find_decomposition, o_unroll
 
 
 def rel(n, pairs):
@@ -35,6 +37,28 @@ def rel(n, pairs):
 
 def fam(n, *members):
     return Family(GroundSet(n), tuple(frozenset(m) for m in members))
+
+
+def k_sequence(seq, provider):
+    """K_j = the sequence entry at position n_1 + ... + n_j, as cad_to_sfcdc reads it."""
+    cum = 0
+    k_terms = []
+    j = 1
+    while True:
+        cum += provider.dim_at(j)
+        k_terms.append(seq.at(cum))
+        if cum >= len(seq):
+            break
+        j += 1
+    return EntourageSequence(seq.ground, tuple(k_terms))
+
+
+def raw_chain(families, rows):
+    """Families as member tuples and rows as (target, parts) pairs."""
+    return (
+        tuple(f.members for f in families),
+        tuple(tuple((d.target, d.parts) for d in row) for row in rows),
+    )
 
 
 SINGLETONS4 = fam(4, {0}, {1}, {2}, {3})
@@ -450,17 +474,7 @@ class TestCadToSfcdc:
             cert = cad_to_sfcdc(s, seq, provider)
             assert check_sfcdc_certificate(s, seq, cert).ok
 
-            cum = 0
-            k_terms = []
-            j = 1
-            while True:
-                cum += provider.dim_at(j)
-                k_terms.append(seq.at(cum))
-                if cum >= len(seq):
-                    break
-                j += 1
-            k_seq = EntourageSequence(s.ground, tuple(k_terms))
-            families, rows = provider.build(s, k_seq)
+            families, rows = provider.build(s, k_sequence(seq, provider))
             refined, _ = refine_chain(families, rows)
             total = 0
             for level in range(len(refined) - 1):
@@ -489,6 +503,75 @@ class TestCadToSfcdc:
 
         with pytest.raises(ProviderError):
             cad_to_sfcdc(s, seq, CadProvider(dims=(1,), build=build))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 3),
+        st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        st.booleans(),
+    )
+    def test_unroll_matches_role_table_oracle(self, seed, levels, dims, inflate):
+        rng = random.Random(seed)
+        m = random_metric(rng, rng.randint(2, 7))
+        s = structure_from_metric(m, m.scales())  # bounded: every chain terminates
+        scales = sorted(rng.choice(m.scales()) for _ in range(rng.randint(1, 6)))
+        seq = EntourageSequence(s.ground, tuple(metric_entourage(m, r) for r in scales))
+        provider = random_cad_provider(rng, levels=levels, dims=dims, inflate=inflate)
+        cert = cad_to_sfcdc(s, seq, provider)
+        families, rows = provider.build(s, k_sequence(seq, provider))
+        refined = raw_chain(*refine_chain(families, rows))
+        expected = o_unroll(*refined, provider.dims)
+        assert raw_chain(cert.families, cert.decompositions) == expected
+
+
+def cad_with(build):
+    """cad_to_sfcdc on a 2-point space whose only entourages are the diagonal."""
+    g = GroundSet(2)
+    s = generate(g, [])
+    seq = EntourageSequence(g, (g.diagonal(),))
+    return cad_to_sfcdc(s, seq, CadProvider(dims=(1,), build=build))
+
+
+class TestProviderFailures:
+    """Provider data fails with ProviderError naming the chain check's reason."""
+
+    WHOLE = frozenset({0, 1})
+    SPLIT = Decomposition(WHOLE, ((frozenset({0}), frozenset({1})),))
+
+    def test_no_families(self):
+        with pytest.raises(ProviderError, match="at least one family"):
+            cad_with(lambda s, k: ((), ()))
+
+    def test_row_shape_mismatch(self):
+        families = (fam(2, self.WHOLE), fam(2, {0}, {1}))
+        with pytest.raises(ProviderError, match="row 1 does not match its family"):
+            cad_with(lambda s, k: (families, ((self.SPLIT, self.SPLIT),)))
+
+    def test_root_not_whole_space(self):
+        with pytest.raises(ProviderError, match=re.escape("('root-not-whole-space',)")):
+            cad_with(lambda s, k: ((fam(2, {0}, {1}),), ()))
+
+    def test_failing_decomposition(self):
+        families = (fam(2, self.WHOLE), fam(2, {0}, {1}))
+        d = Decomposition(self.WHOLE, ((frozenset({0}),),))
+        expected = re.escape("('level', 1, 0, ('union-mismatch', 1))")
+        with pytest.raises(ProviderError, match=expected):
+            cad_with(lambda s, k: (families, ((d,),)))
+
+    def test_unbounded_terminal(self):
+        with pytest.raises(ProviderError, match=re.escape("('terminal-not-bounded',)")):
+            cad_with(lambda s, k: ((fam(2, self.WHOLE),), ()))
+
+    def test_families_on_another_ground_set(self):
+        pg = ProductGroundSet(GroundSet(1), GroundSet(2))
+        families = (Family(pg, (self.WHOLE,)), Family(pg, (frozenset({0}), frozenset({1}))))
+        with pytest.raises(ProviderError, match="different ground sets"):
+            cad_with(lambda s, k: (families, ((self.SPLIT,),)))
+
+    def test_same_space_passes_with_valid_data(self):
+        families = (fam(2, self.WHOLE), fam(2, {0}, {1}))
+        assert cad_with(lambda s, k: (families, ((self.SPLIT,),))).families == families
 
 
 class TestCadProviderStubs:

@@ -276,3 +276,21 @@ def test_pairs_validated_against_ground():
         rel(2, {(0, 2)})
     with pytest.raises(ValueError):
         rel(2, {(-1, 0)})
+
+
+def test_pairs_must_be_ints():
+    # neither truncated through int() nor accepted as bools
+    for pairs in ({(1.7, 0)}, {(True, 2)}, {(0, 1.0)}):
+        with pytest.raises(ValueError, match="not an int"):
+            Relation(GroundSet(3), frozenset(pairs))
+
+
+def test_out_of_range_message():
+    with pytest.raises(ValueError, match=r"^pair \(0, 2\) outside ground set of size 2$"):
+        rel(2, {(0, 2)})
+
+
+def test_given_frozenset_is_kept_and_other_iterables_frozen():
+    pairs = frozenset({(0, 1)})
+    assert Relation(GroundSet(2), pairs).pairs is pairs
+    assert Relation(GroundSet(2), [(0, 1), (0, 1)]).pairs == pairs
