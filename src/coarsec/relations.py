@@ -8,6 +8,7 @@ pairs.  All values are immutable and structurally comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable
 
 Pair = tuple[int, int]
@@ -20,7 +21,7 @@ class GroundSet:
     size: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or self.size < 1:
+        if type(self.size) is not int or self.size < 1:
             raise ValueError(f"ground set size must be a positive integer, got {self.size!r}")
 
     def points(self) -> range:
@@ -76,6 +77,14 @@ class ProductGroundSet(GroundSet):
         return divmod(k, self.right.size)
 
 
+def _successor_sets(pairs: Iterable[Pair]) -> dict[int, set[int]]:
+    """Each point with a successor, mapped to the set of its successors."""
+    successors: dict[int, set[int]] = {}
+    for a, b in pairs:
+        successors.setdefault(a, set()).add(b)
+    return successors
+
+
 @dataclass(frozen=True)
 class Relation:
     """An exact subset of ground x ground; the carrier type for entourages."""
@@ -101,12 +110,26 @@ class Relation:
             raise ValueError(f"ground sets differ: {self.ground!r} vs {other.ground!r}")
 
     def compose(self, other: "Relation") -> "Relation":
-        """All (a, c) with (a, b) here and (b, c) in other, for some b."""
+        """All (a, c) with (a, b) here and (b, c) in other, for some b.
+
+        Works per source: the targets of a are the union of the successor sets
+        in other of a's middles, taken once per distinct middle set (once per
+        class when an equivalence relation is composed with itself).  The cost
+        is those unions plus the output pairs, not one tuple per (a, b, c).
+        """
         self._require_same_ground(other)
-        successors: dict[int, set[int]] = {}
-        for b, c in other.pairs:
-            successors.setdefault(b, set()).add(c)
-        out = {(a, c) for a, b in self.pairs for c in successors.get(b, ())}
+        successors = _successor_sets(other.pairs)
+        middles = successors if other is self else _successor_sets(self.pairs)
+        unions: dict[frozenset[int], set[int]] = {}
+        out: list[Pair] = []
+        for a, bs in middles.items():
+            key = frozenset(bs)
+            targets = unions.get(key)
+            if targets is None:
+                targets = unions[key] = set().union(
+                    *[successors[b] for b in key if b in successors]
+                )
+            out += product((a,), targets)
         return Relation(self.ground, frozenset(out))
 
     def inverse(self) -> "Relation":

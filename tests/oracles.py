@@ -16,6 +16,15 @@ def o_compose(pairs_a, pairs_b):
     return frozenset(out)
 
 
+def o_is_transitive(n, pairs):
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if (a, b) in pairs and (b, c) in pairs and (a, c) not in pairs:
+                    return False
+    return True
+
+
 def o_inverse(pairs):
     return frozenset((b, a) for a, b in pairs)
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from coarsec import documents
+from coarsec import cli, documents
 from coarsec.cli import main
 
 
@@ -363,3 +363,58 @@ class TestUsage:
             text=True,
         )
         assert proc.returncode == 2
+
+
+class TestOneParser:
+    """main() reuses one parser; no call may see another call's arguments."""
+
+    def test_usage_error_then_valid_call_matches_a_fresh_call(self, files, capsys, monkeypatch):
+        _, write = files
+        s = write("s.json", THREE_GEN)
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh = run_main(capsys, "info", "--space", s)
+        monkeypatch.setattr(cli, "_parser", None)
+        code, _, err = run_main(capsys, "info", "--space", s, "--nope")
+        assert code == 2
+        assert "unrecognized arguments: --nope" in err
+        assert run_main(capsys, "info", "--space", s) == fresh
+
+    def test_out_of_one_search_is_not_reused(self, files, capsys):
+        tmp_path, write = files
+        s = write("s.json", THREE_GEN)
+        seq = write("seq.json", {"kind": "explicit", "items": [[[0, 0], [1, 1], [2, 2]]]})
+        out_path = tmp_path / "c.json"
+        code, first, _ = run_main(
+            capsys, "search", "--space", s, "--sequence", seq, "--out", str(out_path)
+        )
+        assert code == 0 and out_path.read_text(encoding="utf-8") == first
+        out_path.unlink()
+        before = sorted(tmp_path.iterdir())
+        code, second, _ = run_main(capsys, "search", "--space", s, "--sequence", seq)
+        assert code == 0 and second == first
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_space2_of_one_info_is_not_reused(self, files, capsys):
+        _, write = files
+        s = write("s.json", UNIT2)
+        code, out, _ = run_main(capsys, "info", "--space", s, "--space2", s)
+        assert code == 0 and json.loads(out)["size"] == 4
+        code, out, _ = run_main(capsys, "info", "--space", s)
+        assert code == 0 and json.loads(out)["size"] == 2
+
+    def test_parser_is_built_once(self, files, capsys, monkeypatch):
+        _, write = files
+        s = write("s.json", ONE_POINT)
+        builds = []
+        build = cli._build_parser
+
+        def counting_build():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "_build_parser", counting_build)
+        assert main([]) == 2
+        for _ in range(3):
+            assert run_main(capsys, "info", "--space", s)[0] == 0
+        assert len(builds) == 1

@@ -11,6 +11,7 @@ from oracles import (
     o_equivalence_closure,
     o_fixpoint_closure,
     o_inverse,
+    o_is_transitive,
     o_project,
 )
 
@@ -43,12 +44,45 @@ def relation_triples(draw, max_size=5):
     return tuple(out)
 
 
+def class_pairs(labels):
+    return frozenset(
+        (a, b) for a, la in enumerate(labels) for b, lb in enumerate(labels) if la == lb
+    )
+
+
+@st.composite
+def equivalence_pairs(draw, max_size=40, max_classes=4):
+    """Two equivalence relations of 1 to max_classes classes on one ground set."""
+    n = draw(st.integers(1, max_size))
+    out = []
+    for _ in range(2):
+        k = draw(st.integers(1, min(max_classes, n)))
+        labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        out.append(Relation(GroundSet(n), class_pairs(labels)))
+    return tuple(out)
+
+
+@st.composite
+def dense_relation_pairs(draw, max_size=20, max_pairs=200):
+    n = draw(st.integers(1, max_size))
+    point = st.integers(0, n - 1)
+    return tuple(
+        Relation(GroundSet(n), draw(st.frozensets(st.tuples(point, point), max_size=max_pairs)))
+        for _ in range(2)
+    )
+
+
 class TestGroundSet:
     def test_size_must_be_positive(self):
         with pytest.raises(ValueError):
             GroundSet(0)
         with pytest.raises(ValueError):
             GroundSet(-2)
+
+    @pytest.mark.parametrize("size", [True, False, 1.0])
+    def test_size_must_be_an_int_not_a_bool_or_float(self, size):
+        with pytest.raises(ValueError, match="ground set size must be a positive integer"):
+            GroundSet(size)
 
     def test_immutable(self):
         g = GroundSet(3)
@@ -110,6 +144,53 @@ class TestCompose:
             ),
         )
         assert r.compose(other).pairs == o_compose(r.pairs, other.pairs)
+
+
+class TestComposeKernel:
+    """compose and is_transitive against straight loops, up to 40-point equivalences."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(equivalence_pairs())
+    def test_equivalences_up_to_40_points(self, rs):
+        r, s = rs
+        # r with itself shares one successor index; an equal copy and s do not
+        assert r.compose(r).pairs == o_compose(r.pairs, r.pairs) == r.pairs
+        assert r.compose(Relation(r.ground, r.pairs)).pairs == r.pairs
+        assert r.compose(s).pairs == o_compose(r.pairs, s.pairs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dense_relation_pairs())
+    def test_dense_relations_up_to_20_points(self, rs):
+        r, s = rs
+        assert r.compose(s).pairs == o_compose(r.pairs, s.pairs)
+        assert r.compose(r).pairs == o_compose(r.pairs, r.pairs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dense_relation_pairs(max_pairs=60), st.data())
+    def test_middles_without_successors(self, rs, data):
+        r, s = rs
+        middles = sorted({b for _, b in r.pairs})
+        if not middles:
+            middles = [0]
+            r = Relation(r.ground, frozenset({(0, 0)}))
+        dead = data.draw(st.sets(st.sampled_from(middles), min_size=1))
+        s = Relation(s.ground, frozenset((b, c) for b, c in s.pairs if b not in dead))
+        assert r.compose(s).pairs == o_compose(r.pairs, s.pairs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(dense_relation_pairs(max_size=12, max_pairs=40))
+    def test_is_transitive_matches_triple_loop(self, rs):
+        r, _ = rs
+        assert r.is_transitive() == o_is_transitive(r.ground.size, r.pairs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(equivalence_pairs(max_size=20), st.data())
+    def test_is_transitive_on_equivalences_less_one_pair(self, rs, data):
+        r, _ = rs
+        assert r.is_transitive() and r.is_equivalence()
+        dropped = data.draw(st.sampled_from(sorted(r.pairs)))
+        less = Relation(r.ground, r.pairs - {dropped})
+        assert less.is_transitive() == o_is_transitive(r.ground.size, less.pairs)
 
 
 class TestInverse:
