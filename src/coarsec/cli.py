@@ -40,20 +40,25 @@ from .documents import (
     witness_certificate_doc,
 )
 from .products import product_witness
-from .spaces import max_metric_product, product_structure
+from .relations import ProductGroundSet
+from .spaces import FiniteMetric, max_metric_product, product_structure
 
 
 def _load_space(path: str) -> ParsedSpace:
     return parse_space(Path(path).read_text(encoding="utf-8"))
 
 
+def _product_metric(first: ParsedSpace, second: ParsedSpace) -> Optional[FiniteMetric]:
+    """The max product metric when both factors are metric, else None."""
+    if first.metric is None or second.metric is None:
+        return None
+    return max_metric_product(first.metric, second.metric)
+
+
 def _product_space(first: ParsedSpace, second: ParsedSpace) -> ParsedSpace:
     """Product structure, with the max product metric when both factors are metric."""
     structure = product_structure(first.structure, second.structure)
-    metric = None
-    if first.metric is not None and second.metric is not None:
-        metric = max_metric_product(first.metric, second.metric)
-    return ParsedSpace(structure, metric, {})
+    return ParsedSpace(structure, _product_metric(first, second), {})
 
 
 def _combined_space(args: argparse.Namespace) -> ParsedSpace:
@@ -62,10 +67,6 @@ def _combined_space(args: argparse.Namespace) -> ParsedSpace:
     if getattr(args, "space2", None) is None:
         return first
     return _product_space(first, _load_space(args.space2))
-
-
-def _load_sequence(seq_doc: object, space: ParsedSpace):
-    return build_sequence(seq_doc, space.structure.ground, space.metric)
 
 
 def _read_sequence_doc(path: str) -> dict:
@@ -97,7 +98,7 @@ def _cmd_check(args: argparse.Namespace, realize, check) -> int:
     """Check a certificate; realize and check are the document kind's pair."""
     space = _combined_space(args)
     parsed = parse_certificate(Path(args.certificate).read_text(encoding="utf-8"))
-    seq = _load_sequence(parsed.sequence_doc, space)
+    seq = build_sequence(parsed.sequence_doc, space.structure.ground, space.metric)
     report = check(space.structure, seq, realize(parsed, space.structure.ground))
     print(json.dumps(report.to_json(), sort_keys=True))
     return 0 if report.ok else 1
@@ -106,9 +107,10 @@ def _cmd_check(args: argparse.Namespace, realize, check) -> int:
 def _cmd_product_witness(args: argparse.Namespace) -> int:
     first = _load_space(args.space)
     second = _load_space(args.space2)
-    space = _product_space(first, second)
+    # product_witness builds the product structure itself; the sequence needs only its points
+    ground = ProductGroundSet(first.structure.ground, second.structure.ground)
     seq_doc = _read_sequence_doc(args.sequence)
-    seq = _load_sequence(seq_doc, space)
+    seq = build_sequence(seq_doc, ground, _product_metric(first, second))
     witness = product_witness(
         first.structure, second.structure, seq, components_witness, components_witness
     )

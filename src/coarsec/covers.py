@@ -112,27 +112,41 @@ class PropertyCWitness:
 WitnessProvider = Callable[[CoarseStructure, EntourageSequence], PropertyCWitness]
 
 
+class Report:
+    """Clause verdicts: one ``*_ok`` flag per clause in clause order, then ``failure``.
+
+    ``failure`` is the first failing clause's offense, or None when every
+    clause holds.  Subclasses are frozen dataclasses that list only these
+    fields, in this order.
+    """
+
+    failure: Optional[tuple]
+
+    @property
+    def ok(self) -> bool:
+        *flags, _ = vars(self).values()
+        return all(flags)
+
+    def to_json(self) -> dict:
+        *flags, _ = vars(self).items()
+        failure = list(self.failure) if self.failure is not None else None
+        return {**dict(flags), "ok": self.ok, "failure": failure}
+
+    @classmethod
+    def of(cls, *offenses: Optional[tuple]):
+        """The report whose clause i holds iff offenses[i] is None."""
+        failure = next((o for o in offenses if o is not None), None)
+        return cls(*[o is None for o in offenses], failure)
+
+
 @dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(Report):
     """Outcome of the three witness clauses, with the first offending datum."""
 
     cover_ok: bool
     disjoint_ok: bool
     bounded_ok: bool
     failure: Optional[tuple] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.cover_ok and self.disjoint_ok and self.bounded_ok
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "cover_ok": self.cover_ok,
-            "disjoint_ok": self.disjoint_ok,
-            "bounded_ok": self.bounded_ok,
-            "failure": list(self.failure) if self.failure is not None else None,
-        }
 
 
 def member_clashes(
@@ -203,34 +217,25 @@ def check_witness(
     covered: set[int] = set()
     for f in witness.families:
         covered |= f.covered()
-    missing = sorted(structure.ground.all_points() - covered)
-    cover_ok = not missing
+    missing = min(structure.ground.all_points() - covered, default=None)
 
-    disjoint_ok = True
-    disjoint_failure: Optional[tuple] = None
+    # plain loops, not generators: the witness search runs this once per candidate
+    not_disjoint: Optional[tuple] = None
     for i, f in enumerate(witness.families, start=1):
         offense = _disjoint_offense(f, seq.at(i))
         if offense is not None:
-            disjoint_ok = False
-            disjoint_failure = ("not-disjoint", i) + offense
+            not_disjoint = ("not-disjoint", i) + offense
             break
 
-    bounded_ok = True
-    bounded_failure: Optional[tuple] = None
+    not_bounded: Optional[tuple] = None
     for i, f in enumerate(witness.families, start=1):
         if not is_uniformly_bounded(f, structure):
-            bounded_ok = False
-            bounded_failure = ("not-bounded", i)
+            not_bounded = ("not-bounded", i)
             break
 
-    failure: Optional[tuple] = None
-    if not cover_ok:
-        failure = ("uncovered-point", missing[0])
-    elif not disjoint_ok:
-        failure = disjoint_failure
-    elif not bounded_ok:
-        failure = bounded_failure
-    return WitnessReport(cover_ok, disjoint_ok, bounded_ok, failure)
+    return WitnessReport.of(
+        None if missing is None else ("uncovered-point", missing), not_disjoint, not_bounded
+    )
 
 
 def components_witness(
@@ -277,8 +282,8 @@ def brute_force_witness(
     size = structure.ground.size
     if size > 6:
         raise ValueError(f"brute-force witness search is guarded to size <= 6, got {size}")
-    if not (1 <= max_n <= 3):
-        raise ValueError(f"max_n must be in 1..3, got {max_n}")
+    if type(max_n) is not int or not (1 <= max_n <= 3):
+        raise ValueError(f"max_n must be an int in 1..3, got {max_n!r}")
     ground = structure.ground
     points = tuple(ground.points())
     for n in range(1, max_n + 1):

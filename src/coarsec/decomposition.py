@@ -23,6 +23,7 @@ from .covers import (
     EntourageSequence,
     Family,
     ProviderError,
+    Report,
     is_uniformly_bounded,
     member_clashes,
 )
@@ -45,26 +46,12 @@ class Decomposition:
 
 
 @dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(Report):
     parts_ok: bool
     union_ok: bool
     disjoint_ok: bool
     members_ok: bool
     failure: Optional[tuple] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.parts_ok and self.union_ok and self.disjoint_ok and self.members_ok
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "parts_ok": self.parts_ok,
-            "union_ok": self.union_ok,
-            "disjoint_ok": self.disjoint_ok,
-            "members_ok": self.members_ok,
-            "failure": list(self.failure) if self.failure is not None else None,
-        }
 
 
 def check_decomposition(
@@ -82,66 +69,56 @@ def check_decomposition(
     """
     if family.ground != e.ground:
         raise ValueError("family and relation on different ground sets")
-    if n < 1:
-        raise ValueError(f"part count must be >= 1, got {n}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"part count must be an int >= 1, got {n!r}")
     target = frozenset(target)
     if any(not (0 <= p < e.ground.size) for p in target):
         raise ValueError("target outside the ground set")
-
-    parts_ok = len(decomposition.parts) <= n
-    failure: Optional[tuple] = None
-    if not parts_ok:
-        failure = ("too-many-parts", len(decomposition.parts), n)
+    parts = decomposition.parts
 
     union: set[int] = set()
-    for part in decomposition.parts:
+    for part in parts:
         for m in part:
             union |= m
-    union_ok = union == target and decomposition.target == target
-    if not union_ok and failure is None:
-        if decomposition.target != target:
-            failure = ("target-mismatch", sorted(decomposition.target), sorted(target))
-        else:
-            diff = sorted(union ^ target)
-            failure = ("union-mismatch", diff[0])
+    if decomposition.target != target:
+        mismatch = ("target-mismatch", sorted(decomposition.target), sorted(target))
+    elif union != target:
+        mismatch = ("union-mismatch", min(union ^ target))
+    else:
+        mismatch = None
 
-    disjoint_ok = True
-    for t, part in enumerate(decomposition.parts, start=1):
+    member_set = set(family.members)
+    strangers = (
+        (t, m) for t, part in enumerate(parts, start=1) for m in part if m not in member_set
+    )
+    return DecompositionReport.of(
+        ("too-many-parts", len(parts), n) if len(parts) > n else None,
+        mismatch,
+        _disjointness_offense(parts, e),
+        next((("not-a-member", t, sorted(m)) for t, m in strangers), None),
+    )
+
+
+def _disjointness_offense(
+    parts: tuple[tuple[frozenset[int], ...], ...], e: Relation
+) -> Optional[tuple]:
+    """First repeated piece of a part, else the first part's least E-joined pieces."""
+    for t, part in enumerate(parts, start=1):
         if len(set(part)) < len(part):
-            disjoint_ok = False
-            if failure is None:
-                repeated = next(m for i, m in enumerate(part) if m in part[:i])
-                failure = ("duplicate-piece", t, sorted(repeated))
-            break
-    for t, part in enumerate(decomposition.parts, start=1):
-        if not disjoint_ok:
-            break
+            repeated = next(m for i, m in enumerate(part) if m in part[:i])
+            return ("duplicate-piece", t, sorted(repeated))
+    for t, part in enumerate(parts, start=1):
         clash = min(
             ((min(i, j), max(i, j)) for i, j, _ in member_clashes(part, e.pairs)), default=None
         )
         if clash is not None:
-            disjoint_ok = False
-            if failure is None:
-                # the least clashing member pair; its hit as the pair-by-pair scan finds it
-                a, b = part[clash[0]], part[clash[1]]
-                hit = next(((x, y) for x, y in e.pairs if x in a and y in b), None)
-                if hit is None:
-                    hit = next((x, y) for x, y in e.pairs if x in b and y in a)
-                failure = ("part-not-disjoint", t, sorted(a), sorted(b), [hit[0], hit[1]])
-
-    member_set = set(family.members)
-    members_ok = True
-    for t, part in enumerate(decomposition.parts, start=1):
-        for m in part:
-            if m not in member_set:
-                members_ok = False
-                if failure is None:
-                    failure = ("not-a-member", t, sorted(m))
-                break
-        if not members_ok:
-            break
-
-    return DecompositionReport(parts_ok, union_ok, disjoint_ok, members_ok, failure)
+            # the least clashing member pair; its hit as the pair-by-pair scan finds it
+            a, b = part[clash[0]], part[clash[1]]
+            hit = next(((x, y) for x, y in e.pairs if x in a and y in b), None)
+            if hit is None:
+                hit = next((x, y) for x, y in e.pairs if x in b and y in a)
+            return ("part-not-disjoint", t, sorted(a), sorted(b), [hit[0], hit[1]])
+    return None
 
 
 def find_decomposition(
@@ -158,8 +135,8 @@ def find_decomposition(
     """
     if family.ground != e.ground:
         raise ValueError("family and relation on different ground sets")
-    if not (1 <= n <= 3):
-        raise ValueError(f"part count is guarded to 1..3, got {n}")
+    if type(n) is not int or not (1 <= n <= 3):
+        raise ValueError(f"part count is guarded to ints in 1..3, got {n!r}")
     target = frozenset(target)
     candidates = [m for m in family.members if m <= target]
     if len(candidates) > 12:
@@ -236,24 +213,11 @@ class SfcdcCertificate:
 
 
 @dataclass(frozen=True)
-class SfcdcReport:
+class SfcdcReport(Report):
     root_ok: bool
     decompositions_ok: bool
     bounded_ok: bool
     failure: Optional[tuple] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.root_ok and self.decompositions_ok and self.bounded_ok
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "root_ok": self.root_ok,
-            "decompositions_ok": self.decompositions_ok,
-            "bounded_ok": self.bounded_ok,
-            "failure": list(self.failure) if self.failure is not None else None,
-        }
 
 
 def check_sfcdc_certificate(
@@ -279,30 +243,17 @@ def _check_chain(
     parts_at: Callable[[int], int],
 ) -> SfcdcReport:
     """The chain clauses, with (seq_i, parts_at(i))-decompositions at level i."""
-    root_ok = chain.families[0].members == (structure.ground.all_points(),)
-    failure: Optional[tuple] = None
-    if not root_ok:
-        failure = ("root-not-whole-space",)
-
-    decompositions_ok = True
-    for i, row in enumerate(chain.decompositions):
-        next_family = chain.families[i + 1]
-        for k, member in enumerate(chain.families[i].members):
-            report = check_decomposition(
-                member, seq.at(i + 1), parts_at(i + 1), row[k], next_family
-            )
-            if not report.ok:
-                decompositions_ok = False
-                if failure is None:
-                    failure = ("level", i + 1, k, report.failure)
-                break
-        if not decompositions_ok:
-            break
-
-    bounded_ok = is_uniformly_bounded(chain.families[-1], structure)
-    if not bounded_ok and failure is None:
-        failure = ("terminal-not-bounded",)
-    return SfcdcReport(root_ok, decompositions_ok, bounded_ok, failure)
+    rooted = chain.families[0].members == (structure.ground.all_points(),)
+    reports = (
+        (i, k, check_decomposition(member, seq.at(i), parts_at(i), row[k], chain.families[i]))
+        for i, row in enumerate(chain.decompositions, start=1)
+        for k, member in enumerate(chain.families[i - 1].members)
+    )
+    return SfcdcReport.of(
+        None if rooted else ("root-not-whole-space",),
+        next((("level", i, k, r.failure) for i, k, r in reports if not r.ok), None),
+        None if is_uniformly_bounded(chain.families[-1], structure) else ("terminal-not-bounded",),
+    )
 
 
 def refine_to_partition(families: Sequence[Family]) -> tuple[Family, ...]:
@@ -423,10 +374,10 @@ class CadProvider:
     build: CadBuilder
 
     def __post_init__(self) -> None:
-        dims = tuple(int(n) for n in self.dims)
+        dims = tuple(self.dims)
         object.__setattr__(self, "dims", dims)
-        if not dims or any(n < 1 for n in dims):
-            raise ValueError("piece-count sequence must be nonempty and positive")
+        if not dims or any(type(n) is not int or n < 1 for n in dims):
+            raise ValueError(f"piece-count sequence must be nonempty positive ints, got {dims!r}")
 
     def dim_at(self, i: int) -> int:
         if i < 1:

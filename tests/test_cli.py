@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from coarsec import cli, documents
+from coarsec import cli, documents, products, spaces
 from coarsec.cli import main
 
 
@@ -229,6 +229,34 @@ class TestProductWitness:
         text = out_path.read_text(encoding="utf-8")
         assert emit(parse_certificate(text).doc) == text
 
+    def test_product_structure_is_built_once(self, files, capsys, monkeypatch):
+        tmp_path, write = files
+        s = write("s.json", UNIT2)
+        seq = write("seq.json", {"kind": "scales", "scales": ["0", "1"]})
+        calls = []
+
+        def counting_product_structure(s1, s2):
+            calls.append(1)
+            return spaces.product_structure(s1, s2)
+
+        # bind the counter wherever the name is looked up
+        monkeypatch.setattr(cli, "product_structure", counting_product_structure)
+        monkeypatch.setattr(products, "product_structure", counting_product_structure)
+        code, _, _ = run_main(
+            capsys,
+            "product-witness",
+            "--space",
+            s,
+            "--space2",
+            s,
+            "--sequence",
+            seq,
+            "--out",
+            str(tmp_path / "cert.json"),
+        )
+        assert code == 0
+        assert len(calls) == 1
+
 
 class TestSfcdcCommands:
     def test_cad_then_check(self, files, capsys):
@@ -284,6 +312,132 @@ class TestSfcdcCommands:
         )
         assert code == 1
         assert json.loads(out)["failure"] == ["level", 1, 0, ["duplicate-piece", 1, [0]]]
+
+
+DIAGONAL3 = {"kind": "explicit", "items": [[[0, 0], [1, 1], [2, 2]]]}
+WHOLE_THEN_SPLIT = [[[0, 1, 2]], [[0, 1], [2]]]
+
+
+def witness_report(cover, disjoint, bounded, failure):
+    return {"cover_ok": cover, "disjoint_ok": disjoint, "bounded_ok": bounded, "failure": failure}
+
+
+def sfcdc_report(root, decompositions, bounded, failure):
+    return {
+        "root_ok": root,
+        "decompositions_ok": decompositions,
+        "bounded_ok": bounded,
+        "failure": failure,
+    }
+
+
+class TestFailureTags:
+    """Each failure tag a document can reach, with the full report it prints.
+
+    THREE_GEN has the classes {0, 1} and {2}; check-sfcdc allows two parts.
+    """
+
+    @pytest.mark.parametrize(
+        "families, sequence, expected",
+        [
+            pytest.param(
+                [[[0, 1]]], DIAGONAL3,
+                witness_report(False, True, True, ["uncovered-point", 2]),
+                id="uncovered-point",
+            ),
+            pytest.param(
+                [[[0], [1], [2]]],
+                {"kind": "explicit", "items": [[[0, 0], [1, 1], [2, 2], [0, 1], [1, 0]]]},
+                witness_report(True, False, True, ["not-disjoint", 1, [0], [1], [0, 1]]),
+                id="not-disjoint",
+            ),
+            pytest.param(
+                [[[0, 1, 2]]], DIAGONAL3,
+                witness_report(True, True, False, ["not-bounded", 1]),
+                id="not-bounded",
+            ),
+            pytest.param(
+                [[[0, 2], [1]]],
+                {"kind": "explicit", "items": [[[0, 0], [1, 1], [2, 2], [1, 2]]]},
+                witness_report(True, False, False, ["not-disjoint", 1, [1], [0, 2], [1, 2]]),
+                id="not-disjoint-ahead-of-not-bounded",
+            ),
+        ],
+    )
+    def test_verify_witness(self, files, capsys, families, sequence, expected):
+        _, write = files
+        cert = {"kind": "property-c", "sequence": sequence, "families": families}
+        code, out, _ = run_main(
+            capsys,
+            "verify-witness",
+            "--space",
+            write("s.json", THREE_GEN),
+            "--certificate",
+            write("c.json", cert),
+        )
+        assert code == 1
+        assert out == json.dumps({**expected, "ok": False}, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "families, parts, sequence, expected",
+        [
+            pytest.param(
+                [[[0, 1], [2]]], None, DIAGONAL3,
+                sfcdc_report(False, True, True, ["root-not-whole-space"]),
+                id="root-not-whole-space",
+            ),
+            pytest.param(
+                [[[0, 1, 2]]], None, DIAGONAL3,
+                sfcdc_report(True, True, False, ["terminal-not-bounded"]),
+                id="terminal-not-bounded",
+            ),
+            pytest.param(
+                [[[0, 1, 2]], [[0], [1], [2]]], [[0], [1], [2]], DIAGONAL3,
+                sfcdc_report(True, False, True, ["level", 1, 0, ["too-many-parts", 3, 2]]),
+                id="level-too-many-parts",
+            ),
+            pytest.param(
+                WHOLE_THEN_SPLIT, [[0]], DIAGONAL3,
+                sfcdc_report(True, False, True, ["level", 1, 0, ["union-mismatch", 2]]),
+                id="level-union-mismatch",
+            ),
+            pytest.param(
+                WHOLE_THEN_SPLIT, [[0, 0, 1]], DIAGONAL3,
+                sfcdc_report(True, False, True, ["level", 1, 0, ["duplicate-piece", 1, [0, 1]]]),
+                id="level-duplicate-piece",
+            ),
+            pytest.param(
+                WHOLE_THEN_SPLIT, [[0, 1]],
+                {"kind": "explicit", "items": [[[0, 0], [1, 1], [2, 2], [0, 2], [2, 0]]]},
+                sfcdc_report(
+                    True, False, True,
+                    ["level", 1, 0, ["part-not-disjoint", 1, [0, 1], [2], [0, 2]]],
+                ),
+                id="level-part-not-disjoint",
+            ),
+            pytest.param(
+                [[[0, 1]], [[0, 1, 2]]], [[0]], DIAGONAL3,
+                sfcdc_report(False, False, False, ["root-not-whole-space"]),
+                id="every-clause-fails",
+            ),
+        ],
+    )
+    def test_check_sfcdc(self, files, capsys, families, parts, sequence, expected):
+        _, write = files
+        rows = [] if parts is None else [[{"parts": parts}]]
+        cert = {
+            "kind": "sfcdc", "sequence": sequence, "families": families, "decompositions": rows
+        }
+        code, out, _ = run_main(
+            capsys,
+            "check-sfcdc",
+            "--space",
+            write("s.json", THREE_GEN),
+            "--certificate",
+            write("c.json", cert),
+        )
+        assert code == 1
+        assert out == json.dumps({**expected, "ok": False}, sort_keys=True) + "\n"
 
 
 class TestSearch:

@@ -311,6 +311,13 @@ class TestBruteForceWitness:
         with pytest.raises(ValueError):
             brute_force_witness(s6, seq6, 4)
 
+    @pytest.mark.parametrize("max_n", [True, 2.5, 2.0])
+    def test_max_n_must_be_an_int(self, max_n):
+        s = generate(GroundSet(3), [])
+        seq = EntourageSequence(s.ground, (s.ground.diagonal(),))
+        with pytest.raises(ValueError, match="max_n"):
+            brute_force_witness(s, seq, max_n)
+
     def test_always_finds_when_sequence_inside(self):
         rng = random.Random(5)
         for _ in range(20):

@@ -114,6 +114,28 @@ class TestCheckDecomposition:
         report = check_decomposition(frozenset({0, 1}), E01, 2, d, SINGLETONS4)
         assert not report.members_ok
 
+    @pytest.mark.parametrize(
+        "declared, parts, expected",
+        [
+            pytest.param(
+                {0}, [[{0}]],
+                (True, False, True, True, ["target-mismatch", [0], [0, 1]]),
+                id="target-mismatch",
+            ),
+            pytest.param(
+                {0, 1}, [[{0, 1}]],
+                (True, True, True, False, ["not-a-member", 1, [0, 1]]),
+                id="not-a-member",
+            ),
+        ],
+    )
+    def test_failure_tags_documents_cannot_reach(self, declared, parts, expected):
+        # realize_sfcdc takes targets from the family and pieces from the next family
+        d = Decomposition(frozenset(declared), tuple(tuple(map(frozenset, p)) for p in parts))
+        report = check_decomposition(frozenset({0, 1}), E01, 2, d, SINGLETONS4)
+        keys = ("parts_ok", "union_ok", "disjoint_ok", "members_ok", "failure")
+        assert report.to_json() == {**dict(zip(keys, expected)), "ok": False}
+
     def test_monotone_in_entourage_and_parts(self):
         target = frozenset({0, 1})
         d = Decomposition(target, ((frozenset({0}),), (frozenset({1}),)))
@@ -125,6 +147,13 @@ class TestCheckDecomposition:
         d = Decomposition(frozenset({0}), ((frozenset({0}),),))
         with pytest.raises(ValueError):
             check_decomposition(frozenset({0}), rel(3, set()), 1, d, SINGLETONS4)
+
+    @pytest.mark.parametrize("n", [True, 2.5, 2.0, "2"])
+    def test_part_count_must_be_an_int(self, n):
+        target = frozenset({0, 1})
+        d = Decomposition(target, ((frozenset({0}),), (frozenset({1}),)))
+        with pytest.raises(ValueError, match="part count"):
+            check_decomposition(target, E01, n, d, SINGLETONS4)
 
 
 @st.composite
@@ -268,6 +297,11 @@ class TestFindDecomposition:
     def test_guard_on_parts(self):
         with pytest.raises(ValueError):
             find_decomposition(frozenset({0}), E01, 4, SINGLETONS4)
+
+    @pytest.mark.parametrize("n", [True, 2.5, 2.0])
+    def test_part_count_must_be_an_int(self, n):
+        with pytest.raises(ValueError, match="part count"):
+            find_decomposition(frozenset({0}), E01, n, SINGLETONS4)
 
     def test_agrees_with_straight_loop_oracle(self):
         rng = random.Random(22)
@@ -590,3 +624,8 @@ class TestCadProviderStubs:
             CadProvider(dims=(), build=lambda s, k: ((), ()))
         with pytest.raises(ValueError):
             CadProvider(dims=(0,), build=lambda s, k: ((), ()))
+
+    @pytest.mark.parametrize("dims", [(1.7,), (True,), ("2",), (1, 2.0)])
+    def test_dims_must_be_ints(self, dims):
+        with pytest.raises(ValueError, match="piece-count"):
+            CadProvider(dims=dims, build=lambda s, k: ((), ()))
