@@ -198,3 +198,38 @@ def _inflate_terminal(rng, structure, k_seq, families, rows, dims):
         families[-1] = candidate_family
         return tuple(families), tuple(rows)
     return tuple(families), tuple(rows)
+
+
+def clash_instance(rng, n):
+    """Documents for an sfcdc check whose one part holds pieces that E joins.
+
+    Returns (space, scales sequence, shuffled explicit sequence, certificate
+    without its sequence).  Both sequences realize the same relation E; the
+    explicit one lists E's pairs in a shuffled order.  The certificate's one
+    decomposition puts every piece of a random partition into a single part.
+    """
+    metric = random_metric(rng, n)
+    scales = metric.scales()
+    r = rng.choice(scales[1:])
+    space = {
+        "kind": "metric",
+        "size": n,
+        "dist": [[str(x) for x in row] for row in metric.dist],
+        "scales": [str(scales[-1])],
+    }
+    pairs = [[a, b] for a, b in sorted(metric_entourage(metric, r).pairs)]
+    rng.shuffle(pairs)
+    points = list(range(n))
+    rng.shuffle(points)
+    k = rng.randint(2, 3)
+    certificate = {
+        "kind": "sfcdc",
+        "families": [[list(range(n))], [sorted(points[i::k]) for i in range(k)]],
+        "decompositions": [[{"parts": [list(range(k))]}]],
+    }
+    return (
+        space,
+        {"kind": "scales", "scales": [str(r)]},
+        {"kind": "explicit", "items": [pairs]},
+        certificate,
+    )
