@@ -58,7 +58,7 @@ def _product_metric(first: ParsedSpace, second: ParsedSpace) -> Optional[FiniteM
 def _product_space(first: ParsedSpace, second: ParsedSpace) -> ParsedSpace:
     """Product structure, with the max product metric when both factors are metric."""
     structure = product_structure(first.structure, second.structure)
-    return ParsedSpace(structure, _product_metric(first, second), {})
+    return ParsedSpace(structure, _product_metric(first, second))
 
 
 def _combined_space(args: argparse.Namespace) -> ParsedSpace:

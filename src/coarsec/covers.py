@@ -83,8 +83,8 @@ class EntourageSequence:
 
     def at(self, k: int) -> Relation:
         """1-based access; indices past the end return the last item."""
-        if k < 1:
-            raise ValueError(f"sequence index must be >= 1, got {k}")
+        if type(k) is not int or k < 1:
+            raise ValueError(f"sequence index must be an int >= 1, got {k!r}")
         return self.items[min(k, len(self.items)) - 1]
 
 

@@ -102,22 +102,23 @@ def check_decomposition(
 def _disjointness_offense(
     parts: tuple[tuple[frozenset[int], ...], ...], e: Relation
 ) -> Optional[tuple]:
-    """First repeated piece of a part, else the first part's least E-joined pieces."""
+    """First repeated piece of a part, else the first part's least E-joined pieces.
+
+    The hit is the least pair of E from the earlier piece to the later one,
+    else the least the other way, whatever order E's pairs iterate in.
+    """
     for t, part in enumerate(parts, start=1):
         if len(set(part)) < len(part):
             repeated = next(m for i, m in enumerate(part) if m in part[:i])
             return ("duplicate-piece", t, sorted(repeated))
     for t, part in enumerate(parts, start=1):
         clash = min(
-            ((min(i, j), max(i, j)) for i, j, _ in member_clashes(part, e.pairs)), default=None
+            ((min(i, j), max(i, j), i > j, hit) for i, j, hit in member_clashes(part, e.pairs)),
+            default=None,
         )
         if clash is not None:
-            # the least clashing member pair; its hit as the pair-by-pair scan finds it
-            a, b = part[clash[0]], part[clash[1]]
-            hit = next(((x, y) for x, y in e.pairs if x in a and y in b), None)
-            if hit is None:
-                hit = next((x, y) for x, y in e.pairs if x in b and y in a)
-            return ("part-not-disjoint", t, sorted(a), sorted(b), [hit[0], hit[1]])
+            i, j, _, hit = clash
+            return ("part-not-disjoint", t, sorted(part[i]), sorted(part[j]), list(hit))
     return None
 
 
@@ -300,15 +301,10 @@ def refine_chain(
     ground = families[0].ground
 
     root = refine_to_partition([families[0]])[0]
-    root_source: list[int] = []
-    taken: set[int] = set()
-    for idx, m in enumerate(families[0].members):
-        if m - taken:
-            root_source.append(idx)
-        taken |= m
-
     refined: list[Family] = [root]
-    sources = root_source  # original member index behind each refined block
+    # original member index behind each refined block: the first member holding its least point
+    first = families[0].members
+    sources = [next(q for q, m in enumerate(first) if min(block) in m) for block in root.members]
     rows_out: list[tuple[Decomposition, ...]] = []
 
     for level in range(len(families) - 1):
@@ -380,8 +376,8 @@ class CadProvider:
             raise ValueError(f"piece-count sequence must be nonempty positive ints, got {dims!r}")
 
     def dim_at(self, i: int) -> int:
-        if i < 1:
-            raise ValueError(f"piece-count index must be >= 1, got {i}")
+        if type(i) is not int or i < 1:
+            raise ValueError(f"piece-count index must be an int >= 1, got {i!r}")
         return self.dims[min(i, len(self.dims)) - 1]
 
 

@@ -118,7 +118,6 @@ def _emit_pairs(relation: Relation) -> list:
 class ParsedSpace:
     structure: CoarseStructure
     metric: Optional[FiniteMetric]
-    doc: dict
 
 
 def parse_space(text: str) -> ParsedSpace:
@@ -136,7 +135,7 @@ def parse_space(text: str) -> ParsedSpace:
             _parse_pairs(g, ground, f"generators[{i}]")
             for i, g in enumerate(_expect_list(doc.get("generators"), "generators"))
         ]
-        return ParsedSpace(generate(ground, generators), None, doc)
+        return ParsedSpace(generate(ground, generators), None)
     rows_raw = _expect_list(doc.get("dist"), "dist")
     if len(rows_raw) != size:
         _fail("dist", f"expected {size} rows, got {len(rows_raw)}")
@@ -156,7 +155,7 @@ def parse_space(text: str) -> ParsedSpace:
         if r < 0:
             _fail(f"scales[{i}]", f"scale must be nonnegative, got {r}")
         scales.append(r)
-    return ParsedSpace(structure_from_metric(metric, scales), metric, doc)
+    return ParsedSpace(structure_from_metric(metric, scales), metric)
 
 
 def build_sequence(
@@ -215,17 +214,13 @@ class ParsedCertificate:
     doc: dict
 
 
-def _parse_families(value: object, path: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    families = []
-    for i, fam_raw in enumerate(_expect_list(value, path)):
-        members = []
-        for k, member_raw in enumerate(_expect_list(fam_raw, f"{path}[{i}]")):
-            member = _expect_list(member_raw, f"{path}[{i}][{k}]")
-            members.append(
-                tuple(_expect_int(p, f"{path}[{i}][{k}][{r}]") for r, p in enumerate(member))
-            )
-        families.append(tuple(members))
-    return tuple(families)
+def _parse_int_lists(value: object, path: str) -> tuple[tuple[int, ...], ...]:
+    """A list of integer lists: a family's members, or a decomposition's parts."""
+    out = []
+    for k, raw in enumerate(_expect_list(value, path)):
+        items = _expect_list(raw, f"{path}[{k}]")
+        out.append(tuple(_expect_int(p, f"{path}[{k}][{r}]") for r, p in enumerate(items)))
+    return tuple(out)
 
 
 def parse_certificate(text: str) -> ParsedCertificate:
@@ -235,7 +230,10 @@ def parse_certificate(text: str) -> ParsedCertificate:
     if kind not in ("property-c", "sfcdc"):
         _fail("kind", f'expected "property-c" or "sfcdc", got {kind!r}')
     sequence_doc = _expect_object(doc.get("sequence"), "sequence")
-    families = _parse_families(doc.get("families"), "families")
+    families = tuple(
+        _parse_int_lists(f, f"families[{i}]")
+        for i, f in enumerate(_expect_list(doc.get("families"), "families"))
+    )
     decomposition_rows = None
     if kind == "sfcdc":
         rows = []
@@ -244,18 +242,7 @@ def parse_certificate(text: str) -> ParsedCertificate:
             row = []
             for k, entry_raw in enumerate(_expect_list(row_raw, f"decompositions[{i}]")):
                 entry = _expect_object(entry_raw, f"decompositions[{i}][{k}]")
-                parts = []
-                for t, part_raw in enumerate(
-                    _expect_list(entry.get("parts"), f"decompositions[{i}][{k}].parts")
-                ):
-                    part = _expect_list(part_raw, f"decompositions[{i}][{k}].parts[{t}]")
-                    parts.append(
-                        tuple(
-                            _expect_int(q, f"decompositions[{i}][{k}].parts[{t}][{r}]")
-                            for r, q in enumerate(part)
-                        )
-                    )
-                row.append(tuple(parts))
+                row.append(_parse_int_lists(entry.get("parts"), f"decompositions[{i}][{k}].parts"))
             rows.append(tuple(row))
         decomposition_rows = tuple(rows)
     return ParsedCertificate(kind, sequence_doc, families, decomposition_rows, doc)

@@ -37,16 +37,16 @@ def array_index(i: int, j: int) -> int:
 
     Strictly increasing in i for fixed j and in j for fixed i.
     """
-    if i < 1 or j < 1:
-        raise ValueError(f"array coordinates must be >= 1, got ({i}, {j})")
+    if type(i) is not int or type(j) is not int or i < 1 or j < 1:
+        raise ValueError(f"array coordinates must be ints >= 1, got ({i!r}, {j!r})")
     s = i + j - 2
     return s * (s + 1) // 2 + i
 
 
 def array_position(k: int) -> tuple[int, int]:
     """Inverse of array_index."""
-    if k < 1:
-        raise ValueError(f"array index must be >= 1, got {k}")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"array index must be an int >= 1, got {k!r}")
     s = (isqrt(8 * k - 7) - 1) // 2
     while s * (s + 1) // 2 >= k:
         s -= 1

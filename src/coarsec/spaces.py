@@ -20,15 +20,15 @@ from .relations import GroundSet, ProductGroundSet, Relation, product_relation, 
 
 @dataclass(frozen=True)
 class CoarseStructure:
+    """A structure is its maximal entourage: two are equal iff their emax are.
+
+    Constructors pass emax by keyword, the name the traced benchmark reads.
+    """
+
     ground: GroundSet
-    generators: tuple[Relation, ...]
     emax: Relation
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "generators", tuple(self.generators))
-        for g in self.generators:
-            if g.ground != self.ground:
-                raise ValueError("generator on a different ground set")
         if self.emax.ground != self.ground:
             raise ValueError("maximal entourage on a different ground set")
         if not self.emax.is_equivalence():
@@ -61,9 +61,8 @@ def generate(ground: GroundSet, generators: Iterable[Relation]) -> CoarseStructu
     The maximal entourage is the equivalence closure of the union of the
     generators and the diagonal.
     """
-    gens = tuple(generators)
-    emax = union_all(ground, gens).equivalence_closure()
-    return CoarseStructure(ground, gens, emax)
+    emax = union_all(ground, generators).equivalence_closure()
+    return CoarseStructure(ground, emax=emax)
 
 
 def product_structure(s1: CoarseStructure, s2: CoarseStructure) -> CoarseStructure:
@@ -73,7 +72,7 @@ def product_structure(s1: CoarseStructure, s2: CoarseStructure) -> CoarseStructu
     Equivalently, the maximal entourage is the box of the factor maxima.
     """
     emax = product_relation(s1.emax, s2.emax)
-    return CoarseStructure(emax.ground, (emax,), emax)
+    return CoarseStructure(emax.ground, emax=emax)
 
 
 @dataclass(frozen=True)

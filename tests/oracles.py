@@ -212,8 +212,8 @@ def o_check_decomposition(target, pairs, n, decomposition_target, parts, members
     """The O(m^2 |E|) decomposition check, clause by clause, on raw data.
 
     Returns (parts_ok, union_ok, disjoint_ok, members_ok, failure).  For each
-    member pair (a, b), a < b, of a part it scans the pairs in their iteration
-    order, first from a to b and then from b to a, for the first hit.
+    member pair (a, b), a < b, of a part it scans the sorted pairs, first from
+    a to b and then from b to a, for the first hit.
     """
     target = frozenset(target)
     parts_ok = len(parts) <= n
@@ -247,12 +247,12 @@ def o_check_decomposition(target, pairs, n, decomposition_target, parts, members
         for a in range(len(part)):
             for b in range(a + 1, len(part)):
                 hit = next(
-                    ((x, y) for x, y in pairs if x in part[a] and y in part[b]),
+                    ((x, y) for x, y in sorted(pairs) if x in part[a] and y in part[b]),
                     None,
                 )
                 if hit is None:
                     hit = next(
-                        ((x, y) for x, y in pairs if x in part[b] and y in part[a]),
+                        ((x, y) for x, y in sorted(pairs) if x in part[b] and y in part[a]),
                         None,
                     )
                 if hit is not None:

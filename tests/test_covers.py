@@ -85,6 +85,13 @@ class TestEntourageSequence:
         with pytest.raises(ValueError):
             seq.at(0)
 
+    @pytest.mark.parametrize("k", [2.5, 1.0, True, "1"])
+    def test_rejects_non_int_index(self, k):
+        g = GroundSet(2)
+        seq = EntourageSequence(g, (g.diagonal(), g.full()))
+        with pytest.raises(ValueError, match="sequence index must be an int"):
+            seq.at(k)
+
 
 class TestIsDisjoint:
     def test_single_member_always_disjoint(self):

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 
@@ -26,8 +27,9 @@ from coarsec import (
     refine_to_partition,
     structure_from_metric,
 )
+from coarsec.documents import build_sequence, parse_certificate, parse_space, realize_sfcdc
 
-from gen import random_cad_provider, random_metric
+from gen import clash_instance, random_cad_provider, random_metric
 from oracles import o_check_decomposition, o_find_decomposition, o_unroll
 
 
@@ -238,6 +240,27 @@ class TestIndexedDisjointness:
         report = check_decomposition(target, rel(4, {(0, 1), (1, 3)}), 1, d, f)
         # member pairs by position: ({3}, {1}) at (0, 3) precedes ({0}, {1}) at (1, 3)
         assert report.failure == ("part-not-disjoint", 1, [3], [1], [1, 3])
+
+    def test_hit_does_not_depend_on_the_order_of_e(self):
+        # one E, realized from scales and from a shuffled explicit pair list:
+        # equal relations built in different orders iterate differently
+        def report(space, seq, cert):
+            parsed = parse_space(json.dumps(space))
+            ground = parsed.structure.ground
+            parsed_cert = parse_certificate(json.dumps({**cert, "sequence": seq}))
+            certificate = realize_sfcdc(parsed_cert, ground)
+            l_seq = build_sequence(seq, ground, parsed.metric)
+            return check_sfcdc_certificate(parsed.structure, l_seq, certificate)
+
+        # seeds 108 and 171 reported different hits when the scan took E's iteration order
+        for seed in [108, 171, *range(30)]:
+            space, scales, shuffled, cert = clash_instance(random.Random(seed), 10)
+            expected = report(space, scales, cert)
+            assert report(space, shuffled, cert) == expected
+            _, _, _, (tag, _, a, b, hit) = expected.failure
+            e = metric_entourage(parse_space(json.dumps(space)).metric, scales["scales"][0])
+            joins = [p for p in sorted(e.pairs) if p[0] in a and p[1] in b]
+            assert (tag, tuple(hit)) == ("part-not-disjoint", joins[0])
 
     def test_overlapping_members_under_non_reflexive_e(self):
         target = frozenset({0, 1, 2})
@@ -624,6 +647,12 @@ class TestCadProviderStubs:
             CadProvider(dims=(), build=lambda s, k: ((), ()))
         with pytest.raises(ValueError):
             CadProvider(dims=(0,), build=lambda s, k: ((), ()))
+
+    @pytest.mark.parametrize("i", [2.5, 1.0, True, "1"])
+    def test_dim_at_rejects_non_int_index(self, i):
+        provider = CadProvider(dims=(1, 2), build=lambda s, k: ((), ()))
+        with pytest.raises(ValueError, match="piece-count index must be an int"):
+            provider.dim_at(i)
 
     @pytest.mark.parametrize("dims", [(1.7,), (True,), ("2",), (1, 2.0)])
     def test_dims_must_be_ints(self, dims):

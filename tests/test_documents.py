@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -15,6 +16,7 @@ from coarsec import (
 )
 from coarsec.documents import (
     DocumentError,
+    ParsedSpace,
     build_sequence,
     emit,
     explicit_sequence_doc,
@@ -42,6 +44,9 @@ METRIC_DOC = {
 
 
 class TestParseSpace:
+    def test_parsed_space_keeps_no_document(self):
+        assert [f.name for f in dataclasses.fields(ParsedSpace)] == ["structure", "metric"]
+
     def test_one_point_space(self):
         space = parse_space(json.dumps({"kind": "generated", "size": 1, "generators": []}))
         assert space.structure.ground.size == 1

@@ -55,6 +55,16 @@ class TestArrayIndex:
         with pytest.raises(ValueError):
             array_position(0)
 
+    @pytest.mark.parametrize("bad", [(1.5, 1), (1, 2.0), (True, 1), (1, "2")])
+    def test_rejects_non_int_coordinates(self, bad):
+        with pytest.raises(ValueError, match="array coordinates must be ints"):
+            array_index(*bad)
+
+    @pytest.mark.parametrize("k", [2.5, 1.0, True])
+    def test_position_rejects_non_int_index(self, k):
+        with pytest.raises(ValueError, match="array index must be an int"):
+            array_position(k)
+
     def test_bijection_small(self):
         for i in range(1, 21):
             for j in range(1, 21):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -135,11 +136,41 @@ class TestCoarseStructureInvariants:
     def test_rejects_non_equivalence_emax(self):
         g = GroundSet(2)
         with pytest.raises(ValueError):
-            CoarseStructure(g, (), rel(2, {(0, 1)}))
+            CoarseStructure(g, emax=rel(2, {(0, 1)}))
 
     def test_classes(self):
         s = generate(GroundSet(5), [rel(5, {(0, 1), (3, 4)})])
         assert [sorted(c) for c in s.classes()] == [[0, 1], [2], [3, 4]]
+
+
+class TestStructureIsItsEmax:
+    def test_fields_are_ground_and_emax(self):
+        assert [f.name for f in dataclasses.fields(CoarseStructure)] == ["ground", "emax"]
+
+    def test_nested_metric_scales_give_equal_structures(self):
+        a, b = structure_from_metric(PATH3, [1, 2]), structure_from_metric(PATH3, [2])
+        assert a == b
+        assert hash(a) == hash(b)
+
+    def test_repeated_generator_gives_an_equal_structure(self):
+        g, r = GroundSet(4), rel(4, {(0, 1), (2, 3)})
+        a, b = generate(g, [r]), generate(g, [r, r])
+        assert a == b
+        assert hash(a) == hash(b)
+
+    def test_constructions_pass_emax_by_keyword(self, monkeypatch):
+        # bench/tracing.py's CoarseStructure hook reads the emax argument by name
+        keywords = []
+        init = CoarseStructure.__init__
+
+        def recording_init(self, *args, **kwargs):
+            keywords.append(sorted(kwargs))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CoarseStructure, "__init__", recording_init)
+        s = structure_from_metric(PATH3, [1])
+        product_structure(s, generate(GroundSet(2), []))
+        assert keywords == [["emax"]] * 3
 
 
 class TestFiniteMetric:
