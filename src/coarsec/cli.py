@@ -55,18 +55,14 @@ def _product_metric(first: ParsedSpace, second: ParsedSpace) -> Optional[FiniteM
     return max_metric_product(first.metric, second.metric)
 
 
-def _product_space(first: ParsedSpace, second: ParsedSpace) -> ParsedSpace:
-    """Product structure, with the max product metric when both factors are metric."""
-    structure = product_structure(first.structure, second.structure)
-    return ParsedSpace(structure, _product_metric(first, second))
-
-
 def _combined_space(args: argparse.Namespace) -> ParsedSpace:
-    """The space of --space, or the product space when --space2 is given."""
+    """The space of --space, or the product space (see _product_metric) when --space2 is given."""
     first = _load_space(args.space)
     if getattr(args, "space2", None) is None:
         return first
-    return _product_space(first, _load_space(args.space2))
+    second = _load_space(args.space2)
+    structure = product_structure(first.structure, second.structure)
+    return ParsedSpace(structure, _product_metric(first, second))
 
 
 def _read_sequence_doc(path: str) -> dict:
@@ -220,6 +216,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"file not found: {exc.filename}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"file error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -87,6 +87,16 @@ class EntourageSequence:
             raise ValueError(f"sequence index must be an int >= 1, got {k!r}")
         return self.items[min(k, len(self.items)) - 1]
 
+    def subsequence(self, positions: Iterable[int]) -> "EntourageSequence":
+        """Entries at increasing 1-based positions, up to and including the first
+        position at or past the end; under extend-by-last every later entry equals it."""
+        items = []
+        for k in positions:
+            items.append(self.at(k))
+            if k >= len(self.items):
+                break
+        return EntourageSequence(self.ground, tuple(items))
+
 
 @dataclass(frozen=True)
 class PropertyCWitness:

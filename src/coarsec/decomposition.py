@@ -16,6 +16,7 @@ provider's families into partitions coherently along the chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, count
 from typing import Callable, Optional, Sequence
 
 from .covers import (
@@ -422,16 +423,7 @@ def cad_to_sfcdc(
     if l_seq.ground != structure.ground:
         raise ValueError("structure and sequence must share a ground set")
 
-    k_terms: list[Relation] = []
-    cum = 0
-    j = 1
-    while True:
-        cum += provider.dim_at(j)
-        k_terms.append(l_seq.at(cum))
-        if cum >= len(l_seq):
-            break
-        j += 1
-    k_seq = EntourageSequence(structure.ground, tuple(k_terms))
+    k_seq = l_seq.subsequence(accumulate(map(provider.dim_at, count(1))))
 
     built = provider.build(structure, k_seq)
     data = _checked_chain(structure, k_seq, provider, built, ProviderError)

@@ -68,14 +68,18 @@ def load_json(text: str) -> object:
 
     A literal past int()'s own digit limit fails json.loads; the second parse
     reads every over-long literal as _LONG_INT, which _expect_int rejects.
+    Nesting past the parser's recursion limit fails either parse.
     """
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON: {exc}") from exc
-    except ValueError:
-        long_int = lambda s: _LONG_INT if len(s.lstrip("-")) > MAX_RATIONAL_CHARS else int(s)
-        return json.loads(text, parse_int=long_int)
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DocumentError(f"invalid JSON: {exc}") from exc
+        except ValueError:
+            long_int = lambda s: _LONG_INT if len(s.lstrip("-")) > MAX_RATIONAL_CHARS else int(s)
+            return json.loads(text, parse_int=long_int)
+    except RecursionError:
+        raise DocumentError("invalid JSON: nesting too deep") from None
 
 
 def _parse_fraction(value: object, path: str) -> Fraction:
@@ -211,7 +215,6 @@ class ParsedCertificate:
     sequence_doc: dict
     families: tuple[tuple[tuple[int, ...], ...], ...]
     decomposition_rows: Optional[tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]]
-    doc: dict
 
 
 def _parse_int_lists(value: object, path: str) -> tuple[tuple[int, ...], ...]:
@@ -245,7 +248,7 @@ def parse_certificate(text: str) -> ParsedCertificate:
                 row.append(_parse_int_lists(entry.get("parts"), f"decompositions[{i}][{k}].parts"))
             rows.append(tuple(row))
         decomposition_rows = tuple(rows)
-    return ParsedCertificate(kind, sequence_doc, families, decomposition_rows, doc)
+    return ParsedCertificate(kind, sequence_doc, families, decomposition_rows)
 
 
 def _realize_families(parsed: ParsedCertificate, ground: GroundSet) -> list[Family]:

@@ -16,6 +16,7 @@ verified against the product structure before it is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import isqrt
 from typing import Sequence
 
@@ -90,10 +91,6 @@ class ColumnWitnessRecord:
     def n(self) -> int:
         return len(self.families)
 
-    def entourage_for_family(self, j: int) -> Relation:
-        """Column entry matched with family j (1-based, extend-by-last)."""
-        return self.entourages.at(j)
-
 
 def column_witness(
     structure: CoarseStructure,
@@ -109,15 +106,7 @@ def column_witness(
     """
     if i < 1:
         raise ValueError(f"column must be >= 1, got {i}")
-    entries: list[Relation] = []
-    j = 1
-    while True:
-        k = array_index(i, j)
-        entries.append(factor_seq.at(k))
-        if k >= len(factor_seq):
-            break
-        j += 1
-    column = EntourageSequence(factor_seq.ground, tuple(entries))
+    column = factor_seq.subsequence(array_index(i, j) for j in count(1))
     witness = provider(structure, column)
     report = check_witness(structure, column, witness)
     if not report.ok:
@@ -134,10 +123,6 @@ class ProductWitnessTrace:
     stabilization_column: int
     second_factor_sequence: EntourageSequence
     second_factor_families: tuple[Family, ...]
-
-    def column_record(self, i: int) -> ColumnWitnessRecord:
-        """Record for column i; columns past stabilization share one record."""
-        return self.columns[min(i, self.stabilization_column) - 1]
 
 
 def product_witness_trace(

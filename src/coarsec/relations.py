@@ -71,11 +71,6 @@ class ProductGroundSet(GroundSet):
             raise ValueError(f"point ({x}, {y}) outside {self!r}")
         return x * self.right.size + y
 
-    def unpair(self, k: int) -> Pair:
-        if not (0 <= k < self.size):
-            raise ValueError(f"index {k} outside {self!r}")
-        return divmod(k, self.right.size)
-
 
 def _successor_sets(pairs: Iterable[Pair]) -> dict[int, set[int]]:
     """Each point with a successor, mapped to the set of its successors."""

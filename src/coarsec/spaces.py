@@ -122,9 +122,6 @@ class FiniteMetric:
     def from_rows(cls, rows: Sequence[Sequence[object]]) -> "FiniteMetric":
         return cls(GroundSet(len(rows)), tuple(tuple(Fraction(str(x)) for x in row) for row in rows))
 
-    def diameter(self) -> Fraction:
-        return max(x for row in self.dist for x in row)
-
     def scales(self) -> tuple[Fraction, ...]:
         """All distinct distances, ascending; generates the full bounded structure."""
         return tuple(sorted({x for row in self.dist for x in row}))

@@ -103,6 +103,7 @@ def corpus():
         "bad_kind.json": {"kind": "ultrametric", "size": 2},
         "pair_out_of_range.json": {"kind": "generated", "size": 3, "generators": [[[0, 9]]]},
         "long_int.json": {"kind": "metric", "size": 1, "dist": [[10**300]], "scales": []},
+        "deep.json": "[" * 200_000,
     }
     cases = [
         ("info-generated", ["info", "--space", "gen8.json"]),
@@ -153,6 +154,7 @@ def corpus():
         ("exit2-pair-out-of-range", ["info", "--space", "pair_out_of_range.json"]),
         ("exit2-long-integer", ["info", "--space", "long_int.json"]),
         ("exit2-missing-file", ["info", "--space", "missing.json"]),
+        ("exit2-deep-nesting", ["info", "--space", "deep.json"]),
         ("exit2-sequence-not-object", ["cad-to-sfcdc", "--space", "m5.json", "--sequence",
                                        "seq_list.json", "--out", "never.json"]),
     ]

@@ -172,6 +172,43 @@ class TestVerifyWitness:
         assert code == 2
 
 
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("kind", ["space", "sequence", "certificate"])
+    def test_deep_nesting_exits_2(self, files, capsys, kind):
+        tmp_path, write = files
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000, encoding="utf-8")
+        space = write("s.json", THREE_GEN)
+        argv = {
+            "space": ["info", "--space", str(deep)],
+            "sequence": [
+                "cad-to-sfcdc", "--space", space, "--sequence", str(deep),
+                "--out", str(tmp_path / "out.json"),
+            ],
+            "certificate": ["verify-witness", "--space", space, "--certificate", str(deep)],
+        }[kind]
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "document error: invalid JSON: nesting too deep\n"
+
+    def test_directory_as_input_exits_2(self, files, capsys):
+        tmp_path, _ = files
+        code, out, err = run_main(capsys, "info", "--space", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"file error: Is a directory: {tmp_path}\n"
+
+    def test_directory_as_output_exits_2(self, files, capsys):
+        tmp_path, write = files
+        s = write("s.json", UNIT2)
+        seq = write("seq.json", {"kind": "scales", "scales": ["0", "1"]})
+        code, out, err = run_main(
+            capsys, "product-witness", "--space", s, "--space2", s,
+            "--sequence", seq, "--out", str(tmp_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"file error: Is a directory: {tmp_path}\n"
+
+
 class TestProductWitness:
     def test_construct_then_verify(self, files, capsys):
         tmp_path, write = files
@@ -208,7 +245,13 @@ class TestProductWitness:
 
     def test_emitted_file_is_canonical(self, files, capsys):
         tmp_path, write = files
-        from coarsec.documents import emit, parse_certificate
+        from coarsec import GroundSet, ProductGroundSet
+        from coarsec.documents import (
+            emit,
+            parse_certificate,
+            realize_witness,
+            witness_certificate_doc,
+        )
 
         s = write("s.json", UNIT2)
         seq = write("seq.json", {"kind": "scales", "scales": ["0", "1"]})
@@ -227,7 +270,9 @@ class TestProductWitness:
         )
         assert code == 0
         text = out_path.read_text(encoding="utf-8")
-        assert emit(parse_certificate(text).doc) == text
+        parsed = parse_certificate(text)
+        witness = realize_witness(parsed, ProductGroundSet(GroundSet(2), GroundSet(2)))
+        assert emit(witness_certificate_doc(parsed.sequence_doc, witness)) == text
 
     def test_product_structure_is_built_once(self, files, capsys, monkeypatch):
         tmp_path, write = files

@@ -1,17 +1,21 @@
 import random
+from itertools import accumulate, count
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsec import (
+    CadProvider,
     EntourageSequence,
     Family,
     GroundSet,
     PropertyCWitness,
     Relation,
+    array_index,
     brute_force_witness,
     check_witness,
+    column_witness,
     components_witness,
     generate,
     is_disjoint,
@@ -91,6 +95,84 @@ class TestEntourageSequence:
         seq = EntourageSequence(g, (g.diagonal(), g.full()))
         with pytest.raises(ValueError, match="sequence index must be an int"):
             seq.at(k)
+
+
+def chain(length):
+    """A sequence of `length` distinct nested relations: item t joins points 0..t-1."""
+    g = GroundSet(length + 1)
+    items = tuple(
+        g.diagonal().union(rel(length + 1, {(a, b) for a in range(t) for b in range(t)}))
+        for t in range(1, length + 1)
+    )
+    return EntourageSequence(g, items)
+
+
+def old_k_sequence(l_seq, dim_at):
+    """The K-sequence loop cad_to_sfcdc used before subsequence existed."""
+    k_terms = []
+    cum = 0
+    j = 1
+    while True:
+        cum += dim_at(j)
+        k_terms.append(l_seq.at(cum))
+        if cum >= len(l_seq):
+            break
+        j += 1
+    return EntourageSequence(l_seq.ground, tuple(k_terms))
+
+
+def old_column(factor_seq, i):
+    """The array-column loop column_witness used before subsequence existed."""
+    entries = []
+    j = 1
+    while True:
+        k = array_index(i, j)
+        entries.append(factor_seq.at(k))
+        if k >= len(factor_seq):
+            break
+        j += 1
+    return EntourageSequence(factor_seq.ground, tuple(entries))
+
+
+class TestSubsequence:
+    def test_stops_at_last_position(self):
+        seq = chain(5)
+        sub = seq.subsequence([1, 3, 5, 7])
+        assert sub.items == (seq.at(1), seq.at(3), seq.at(5))
+
+    def test_jump_past_the_end_reads_the_last_item(self):
+        seq = chain(5)
+        assert seq.subsequence([2, 9, 12]).items == (seq.at(2), seq.items[-1])
+
+    def test_one_item_sequence(self):
+        seq = chain(1)
+        assert seq.subsequence(count(1)).items == seq.items
+        assert seq.subsequence([4]).items == seq.items
+
+    def test_generator_is_read_only_up_to_the_stop(self):
+        seq = chain(5)
+        positions = (2 * j for j in count(1))
+        assert seq.subsequence(positions).items == (seq.at(2), seq.at(4), seq.at(5))
+        assert next(positions) == 8
+
+    def test_empty_positions_rejected(self):
+        with pytest.raises(ValueError, match="entourage sequence must be nonempty"):
+            chain(3).subsequence([])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_matches_the_loops_it_replaced(self, length, dims, i):
+        seq = chain(length)
+        provider = CadProvider(tuple(dims), lambda structure, k_seq: ((), ()))
+        k_seq = seq.subsequence(accumulate(map(provider.dim_at, count(1))))
+        assert k_seq == old_k_sequence(seq, provider.dim_at)
+        structure = generate(seq.ground, [seq.ground.full()])
+        record = column_witness(structure, components_witness, seq, i)
+        assert record.entourages == old_column(seq, i)
 
 
 class TestIsDisjoint:

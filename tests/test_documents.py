@@ -131,6 +131,12 @@ class TestParseSpace:
         with pytest.raises(DocumentError, match=r"^families\[0\]\[0\]\[0\]: integer literal"):
             parse_certificate(text)
 
+    @pytest.mark.parametrize("prefix", ["", "1" * 5000 + ", "], ids=["plain", "after-long-int"])
+    def test_deep_nesting_rejected(self, prefix):
+        # a long literal first sends load_json to its second parse, which must fail the same way
+        with pytest.raises(DocumentError, match=r"^invalid JSON: nesting too deep$"):
+            parse_space("[" + prefix + "[" * 200_000)
+
 
 class TestSequences:
     def test_scales_sequence(self):
@@ -191,16 +197,16 @@ class TestCertificates:
     def test_witness_roundtrip(self):
         text = emit(self._witness_doc())
         parsed = parse_certificate(text)
-        assert emit(parsed.doc) == text
         witness = realize_witness(parsed, GroundSet(3))
         assert witness.families[0].members == (frozenset({0, 1}), frozenset({2}))
+        assert emit(witness_certificate_doc(parsed.sequence_doc, witness)) == text
 
     def test_member_order_preserved(self):
         doc = dict(self._witness_doc(), families=[[[2], [0, 1]]])
         parsed = parse_certificate(emit(doc))
         witness = realize_witness(parsed, GroundSet(3))
         assert witness.families[0].members == (frozenset({2}), frozenset({0, 1}))
-        assert emit(parse_certificate(emit(doc)).doc) == emit(doc)
+        assert emit(witness_certificate_doc(parsed.sequence_doc, witness)) == emit(doc)
 
     def test_emission_is_stable(self):
         space = parse_space(json.dumps(GENERATED_DOC))
@@ -211,7 +217,9 @@ class TestCertificates:
         )
         doc = witness_certificate_doc(seq_doc, witness)
         text = emit(doc)
-        assert emit(parse_certificate(text).doc) == text
+        parsed = parse_certificate(text)
+        again = realize_witness(parsed, g)
+        assert emit(witness_certificate_doc(parsed.sequence_doc, again)) == text
 
     def test_sfcdc_roundtrip(self):
         s = generate(GroundSet(4), [])
@@ -221,9 +229,9 @@ class TestCertificates:
         doc = sfcdc_certificate_doc(seq_doc, cert)
         text = emit(doc)
         parsed = parse_certificate(text)
-        assert emit(parsed.doc) == text
         again = realize_sfcdc(parsed, s.ground)
         assert again == cert
+        assert emit(sfcdc_certificate_doc(parsed.sequence_doc, again)) == text
         assert check_sfcdc_certificate(s, seq, again).ok
 
     def test_sfcdc_member_index_out_of_range(self):

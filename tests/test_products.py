@@ -189,7 +189,7 @@ class TestColumnWitness:
             )
             record = column_witness(s, components_witness, seq, rng.randint(1, 3))
             for j, family in enumerate(record.families, start=1):
-                assert is_disjoint(family, record.entourage_for_family(j))
+                assert is_disjoint(family, record.entourages.at(j))
 
     def test_invalid_provider_rejected(self):
         s, seq = self._setup()
@@ -282,15 +282,15 @@ class TestProductWitness:
                 if not family.members:
                     continue
                 i, j = array_position(k)
-                record = trace.column_record(i)
-                k_ij = record.entourage_for_family(j)
+                record = trace.columns[min(i, trace.stabilization_column) - 1]
+                k_ij = record.entourages.at(j)
                 l_ini = l_seq.at(array_index(i, record.n))
                 # column entries below the terminal stay inside it
                 assert l_seq.at(array_index(i, j)).is_subset(l_ini)
                 boxes = [
                     (
-                        frozenset(pg.unpair(p)[0] for p in member),
-                        frozenset(pg.unpair(p)[1] for p in member),
+                        frozenset(p // pg.right.size for p in member),
+                        frozenset(p % pg.right.size for p in member),
                     )
                     for member in family.members
                 ]
@@ -374,4 +374,7 @@ class TestProductWitness:
         stab = trace.stabilization_column
         assert array_index(stab, 1) > len(seq)
         assert array_index(stab - 1, 1) <= len(seq)
-        assert trace.column_record(stab + 5) is trace.column_record(stab)
+        assert [r.column for r in trace.columns] == list(range(1, stab + 1))
+        k_seq, _ = factor_sequences(seq)
+        later = column_witness(sx, components_witness, k_seq, stab + 5)
+        assert later.entourages == trace.columns[-1].entourages

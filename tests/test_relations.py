@@ -96,7 +96,7 @@ class TestGroundSet:
         for x in range(3):
             for y in range(4):
                 k = pg.index(x, y)
-                assert pg.unpair(k) == (x, y)
+                assert divmod(k, pg.right.size) == (x, y)
                 seen.add(k)
         assert seen == set(range(12))
 

@@ -190,7 +190,7 @@ class TestFiniteMetric:
         assert metric_entourage(PATH3, 0) == GroundSet(3).diagonal()
 
     def test_entourage_at_diameter(self):
-        assert metric_entourage(PATH3, PATH3.diameter()) == GroundSet(3).full()
+        assert metric_entourage(PATH3, max(PATH3.scales())) == GroundSet(3).full()
 
     def test_path_metric_unit_ball(self):
         expected = rel(3, {(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (1, 2), (2, 1)})
@@ -388,7 +388,7 @@ class TestIntegerKernel:
                 st.sampled_from(values),
                 st.sampled_from(values).map(lambda x: x + Fraction(1, 10**9)),
                 st.sampled_from(values).map(lambda x: max(x - Fraction(1, 10**9), Fraction(0))),
-                st.fractions(min_value=0, max_value=m.diameter() + 1, max_denominator=60),
+                st.fractions(min_value=0, max_value=max(m.scales()) + 1, max_denominator=60),
             )
         )
         assert metric_entourage(m, r).pairs == o_metric_entourage(m.dist, r)
