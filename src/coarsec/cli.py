@@ -58,7 +58,7 @@ def _product_metric(first: ParsedSpace, second: ParsedSpace) -> Optional[FiniteM
 def _combined_space(args: argparse.Namespace) -> ParsedSpace:
     """The space of --space, or the product space (see _product_metric) when --space2 is given."""
     first = _load_space(args.space)
-    if getattr(args, "space2", None) is None:
+    if args.space2 is None:
         return first
     second = _load_space(args.space2)
     structure = product_structure(first.structure, second.structure)
@@ -73,8 +73,10 @@ def _read_sequence_doc(path: str) -> dict:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    space = _combined_space(args)
-    structure = space.structure
+    # info prints the product structure only, so it forms no product metric
+    structure = _load_space(args.space).structure
+    if args.space2 is not None:
+        structure = product_structure(structure, _load_space(args.space2).structure)
     classes = structure.classes()
     print(
         json.dumps(

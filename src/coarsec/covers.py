@@ -295,17 +295,16 @@ def brute_force_witness(
     if type(max_n) is not int or not (1 <= max_n <= 3):
         raise ValueError(f"max_n must be an int in 1..3, got {max_n!r}")
     ground = structure.ground
-    points = tuple(ground.points())
     for n in range(1, max_n + 1):
         assignments = list(itertools.product(range(n), repeat=size))
         if seed is not None:
             random.Random(seed).shuffle(assignments)
         for assignment in assignments:
-            fibers = tuple(
-                tuple(p for p, f in zip(points, assignment) if f == t) for t in range(n)
-            )
-            for blocks in itertools.product(*(_set_partitions(fiber) for fiber in fibers)):
-                witness = PropertyCWitness(tuple(Family(ground, b) for b in blocks))
+            fibers = [tuple(p for p, f in enumerate(assignment) if f == t) for t in range(n)]
+            # each fiber's families are built once and shared by every candidate using them
+            options = [[Family(ground, b) for b in _set_partitions(fiber)] for fiber in fibers]
+            for families in itertools.product(*options):
+                witness = PropertyCWitness(families)
                 if check_witness(structure, seq, witness).ok:
                     return witness
     return None

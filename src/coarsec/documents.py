@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .covers import EntourageSequence, Family, PropertyCWitness
 from .decomposition import Decomposition, SfcdcCertificate
@@ -30,7 +30,7 @@ class DocumentError(ValueError):
     """Malformed document; the message carries a field path diagnostic."""
 
 
-def _fail(path: str, message: str) -> None:
+def _fail(path: str, message: str) -> NoReturn:
     raise DocumentError(f"{path}: {message}")
 
 
@@ -96,7 +96,6 @@ def _parse_fraction(value: object, path: str) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             _fail(path, f"not a rational 'p/q' string: {value!r} ({exc})")
     _fail(path, f"expected a rational 'p/q' string, got {value!r}")
-    raise AssertionError("unreachable")
 
 
 def _parse_pairs(value: object, ground: GroundSet, path: str) -> Relation:
@@ -163,46 +162,42 @@ def parse_space(text: str) -> ParsedSpace:
 
 
 def build_sequence(
-    seq_doc: object,
-    ground: GroundSet,
-    metric: Optional[FiniteMetric],
-    path: str = "sequence",
+    seq_doc: object, ground: GroundSet, metric: Optional[FiniteMetric]
 ) -> EntourageSequence:
     """Realize a sequence document against a ground set.
 
     Kind "scales" needs a metric and a nondecreasing scale list; kind
     "explicit" carries literal pair lists, which must be nondecreasing.
     """
-    doc = _expect_object(seq_doc, path)
+    doc = _expect_object(seq_doc, "sequence")
     kind = doc.get("kind")
     if kind == "scales":
         if metric is None:
-            _fail(f"{path}.kind", "scale-based sequence requires a metric space")
-        scales = _expect_list(doc.get("scales"), f"{path}.scales")
+            _fail("sequence.kind", "scale-based sequence requires a metric space")
+        scales = _expect_list(doc.get("scales"), "sequence.scales")
         if not scales:
-            _fail(f"{path}.scales", "must be nonempty")
-        radii = [_parse_fraction(s, f"{path}.scales[{i}]") for i, s in enumerate(scales)]
+            _fail("sequence.scales", "must be nonempty")
+        radii = [_parse_fraction(s, f"sequence.scales[{i}]") for i, s in enumerate(scales)]
         for i in range(len(radii) - 1):
             if radii[i] > radii[i + 1]:
-                _fail(f"{path}.scales[{i + 1}]", "scales must be nondecreasing")
+                _fail(f"sequence.scales[{i + 1}]", "scales must be nondecreasing")
         if any(r < 0 for r in radii):
-            _fail(f"{path}.scales", "scales must be nonnegative")
+            _fail("sequence.scales", "scales must be nonnegative")
         items = tuple(metric_entourage(metric, r) for r in radii)
         return EntourageSequence(ground, items)
     if kind == "explicit":
-        items_raw = _expect_list(doc.get("items"), f"{path}.items")
+        items_raw = _expect_list(doc.get("items"), "sequence.items")
         if not items_raw:
-            _fail(f"{path}.items", "must be nonempty")
+            _fail("sequence.items", "must be nonempty")
         items = tuple(
-            _parse_pairs(item, ground, f"{path}.items[{i}]")
+            _parse_pairs(item, ground, f"sequence.items[{i}]")
             for i, item in enumerate(items_raw)
         )
         try:
             return EntourageSequence(ground, items)
         except ValueError as exc:
-            _fail(f"{path}.items", str(exc))
-    _fail(f"{path}.kind", f'expected "scales" or "explicit", got {kind!r}')
-    raise AssertionError("unreachable")
+            _fail("sequence.items", str(exc))
+    _fail("sequence.kind", f'expected "scales" or "explicit", got {kind!r}')
 
 
 def explicit_sequence_doc(seq: EntourageSequence) -> dict:
@@ -269,7 +264,6 @@ def realize_witness(parsed: ParsedCertificate, ground: GroundSet) -> PropertyCWi
         return PropertyCWitness(tuple(families))
     except ValueError as exc:
         _fail("families", str(exc))
-    raise AssertionError("unreachable")
 
 
 def realize_sfcdc(parsed: ParsedCertificate, ground: GroundSet) -> SfcdcCertificate:

@@ -48,11 +48,9 @@ def array_position(k: int) -> tuple[int, int]:
     """Inverse of array_index."""
     if type(k) is not int or k < 1:
         raise ValueError(f"array index must be an int >= 1, got {k!r}")
+    # s is the largest integer with s(s+1)/2 < k, i.e. with (2s+1)^2 <= 8k-7 (odd
+    # squares are 1 mod 8), so the exact isqrt gives it with no correction step
     s = (isqrt(8 * k - 7) - 1) // 2
-    while s * (s + 1) // 2 >= k:
-        s -= 1
-    while (s + 1) * (s + 2) // 2 < k:
-        s += 1
     i = k - s * (s + 1) // 2
     j = s - i + 2
     return i, j

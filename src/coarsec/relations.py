@@ -7,7 +7,7 @@ pairs.  All values are immutable and structurally comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable
 
@@ -40,8 +40,9 @@ class GroundSet:
         return Relation(self, frozenset())
 
 
+@dataclass(frozen=True, repr=False)
 class ProductGroundSet(GroundSet):
-    """Ground set of a two-factor product.
+    """Ground set of a two-factor product; its size is derived from the factors.
 
     The point (x, y) is encoded as the flat index x * right.size + y; the
     encoding is a bijection onto 0..size-1.
@@ -49,19 +50,10 @@ class ProductGroundSet(GroundSet):
 
     left: GroundSet
     right: GroundSet
+    size: int = field(init=False)
 
-    def __init__(self, left: GroundSet, right: GroundSet) -> None:
-        super().__init__(left.size * right.size)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ProductGroundSet):
-            return NotImplemented
-        return self.left == other.left and self.right == other.right
-
-    def __hash__(self) -> int:
-        return hash(("ProductGroundSet", self.left, self.right))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "size", self.left.size * self.right.size)
 
     def __repr__(self) -> str:
         return f"ProductGroundSet({self.left!r}, {self.right!r})"

@@ -5,6 +5,7 @@ shares no code with the library; tests compare library results against these.
 """
 
 import itertools
+import random
 
 
 def o_compose(pairs_a, pairs_b):
@@ -120,6 +121,55 @@ def o_is_disjoint(members, pairs):
                     if (a, b) in pairs:
                         return False
     return True
+
+
+def o_set_partitions(points):
+    """Set partitions of a point tuple in canonical order: for each partition of
+    points[1:], points[0] joins each block in turn, then stands alone."""
+    if not points:
+        return [()]
+    first = points[0]
+    out = []
+    for sub in o_set_partitions(points[1:]):
+        for k in range(len(sub)):
+            out.append(sub[:k] + (sub[k] | {first},) + sub[k + 1 :])
+        out.append(sub + (frozenset({first}),))
+    return out
+
+
+def o_brute_force_witness(n, emax_pairs, items, max_n, seed=None):
+    """The exhaustive witness search on raw data, candidate by candidate.
+
+    For witness lengths 1..max_n, the point-to-family assignments (shuffled by
+    random.Random(seed) when a seed is given) each split the points into
+    fibers; a candidate takes one set partition of each fiber as that family's
+    members.  Family i (0-based) must be disjoint at items[min(i, len - 1)] and
+    uniformly bounded.  Returns the first passing candidate as a tuple of
+    member tuples, or None.
+    """
+    for count in range(1, max_n + 1):
+        assignments = list(itertools.product(range(count), repeat=n))
+        if seed is not None:
+            random.Random(seed).shuffle(assignments)
+        for assignment in assignments:
+            options = []
+            for t in range(count):
+                fiber = tuple(p for p in range(n) if assignment[p] == t)
+                options.append(o_set_partitions(fiber))
+            for families in itertools.product(*options):
+                covered = set()
+                for members in families:
+                    for m in members:
+                        covered |= m
+                if covered != set(range(n)):
+                    continue
+                if all(
+                    o_is_disjoint(members, items[min(i, len(items) - 1)])
+                    and o_is_uniformly_bounded(members, emax_pairs)
+                    for i, members in enumerate(families)
+                ):
+                    return families
+    return None
 
 
 def o_find_decomposition(target, pairs, n, members):

@@ -59,6 +59,43 @@ class TestInfo:
         assert code == 0
         assert json.loads(out)["size"] == 4
 
+    def test_product_info_forms_no_product_metric(self, files, capsys, monkeypatch):
+        _, write = files
+        a = write("a.json", UNIT2)
+        b = write(
+            "b.json",
+            {
+                "kind": "metric",
+                "size": 3,
+                "dist": [["0", "1", "5"], ["1", "0", "5"], ["5", "5", "0"]],
+                "scales": ["1"],
+            },
+        )
+        cert = write(
+            "cert.json",
+            {
+                "kind": "property-c",
+                "sequence": {"kind": "scales", "scales": ["0"]},
+                "families": [[[0, 1, 3, 4], [2, 5]]],
+            },
+        )
+
+        class Called(Exception):
+            pass
+
+        def refuse(m1, m2):
+            raise Called
+
+        monkeypatch.setattr(cli, "max_metric_product", refuse)
+        code, out, err = run_main(capsys, "info", "--space", a, "--space2", b)
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"class_count": 2, "classes": [[0, 1, 3, 4], [2, 5]], '
+            '"emax_pair_count": 20, "size": 6}\n'
+        )
+        with pytest.raises(Called):
+            main(["verify-witness", "--space", a, "--space2", b, "--certificate", cert])
+
 
 class TestVerifyWitness:
     def test_pass(self, files, capsys):

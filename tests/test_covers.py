@@ -24,6 +24,7 @@ from coarsec import (
 )
 
 from oracles import (
+    o_brute_force_witness,
     o_disjoint_offense,
     o_equivalence_closure,
     o_is_disjoint,
@@ -453,6 +454,31 @@ class TestBruteForceWitness:
         s = generate(GroundSet(4), [rel(4, {(0, 1)})])
         seq = EntourageSequence(s.ground, (s.ground.diagonal(),))
         assert brute_force_witness(s, seq, 2) == brute_force_witness(s, seq, 2)
+
+    def test_matches_oracle_search_order(self):
+        # the returned witness, families, members and their order, is the first
+        # candidate of the oracle's enumeration, seeded or not
+        rng = random.Random(19)
+        found_count = reordered = 0
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            s = random_structure(rng, n, generator_count=rng.randint(0, 2))
+            raw = [
+                frozenset((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 4)))
+                for _ in range(rng.randint(1, 3))
+            ]
+            items = list(accumulate(raw, frozenset.union))
+            seq = EntourageSequence(s.ground, tuple(rel(n, e) for e in items))
+            max_n = rng.randint(1, 2)
+            results = []
+            for seed in (None, 0, 7, rng.randrange(10**6)):
+                found = brute_force_witness(s, seq, max_n, seed=seed)
+                got = None if found is None else tuple(f.members for f in found.families)
+                assert got == o_brute_force_witness(n, s.emax.pairs, items, max_n, seed)
+                results.append(got)
+            found_count += results[0] is not None
+            reordered += any(r != results[0] for r in results[1:])
+        assert found_count >= 100 and reordered >= 10
 
     def test_seeded_search_still_finds(self):
         s = generate(GroundSet(4), [rel(4, {(0, 1)})])

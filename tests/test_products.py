@@ -70,6 +70,15 @@ class TestArrayIndex:
             for j in range(1, 21):
                 assert array_position(array_index(i, j)) == (i, j)
 
+    @pytest.mark.parametrize("s", [1, 2, 3, 10**3, 2**31 - 1, 10**9 - 1, 10**9, 10**9 + 7])
+    def test_bijection_at_large_triangular_boundaries(self, s):
+        # k = s(s+1)/2 ends diagonal s-1 at (s, 1); k + 1 starts diagonal s at (1, s+1)
+        k = s * (s + 1) // 2
+        assert array_position(k) == (s, 1)
+        assert array_position(k + 1) == (1, s + 1)
+        for k in range(max(k - 1, 1), k + 3):
+            assert array_index(*array_position(k)) == k
+
     def test_positions_consecutive(self):
         values = sorted(array_index(i, j) for i in range(1, 30) for j in range(1, 30) if i + j <= 30)
         assert values == list(range(1, len(values) + 1))

@@ -106,6 +106,15 @@ class TestGroundSet:
         )
         assert ProductGroundSet(GroundSet(2), GroundSet(3)) != GroundSet(6)
         assert GroundSet(6) != ProductGroundSet(GroundSet(2), GroundSet(3))
+        a = ProductGroundSet(GroundSet(2), GroundSet(3))
+        b = ProductGroundSet(GroundSet(2), GroundSet(3))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "ProductGroundSet(GroundSet(size=2), GroundSet(size=3))"
+        with pytest.raises(TypeError):
+            ProductGroundSet(GroundSet(2), GroundSet(3), 6)
+        with pytest.raises(AttributeError):
+            a.size = 7
+        assert a.size == 6
 
 
 class TestCompose:
