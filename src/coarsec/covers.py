@@ -209,7 +209,7 @@ def is_uniformly_bounded(family: Family, structure: CoarseStructure) -> bool:
     """
     if family.ground != structure.ground:
         raise ValueError("family and structure on different ground sets")
-    star = frozenset((min(m), p) for m in family.members for p in m)
+    star = frozenset((a, p) for m in family.members for a in (min(m),) for p in m)
     return structure.contains(Relation(family.ground, star))
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import sub
 from typing import Iterable, Sequence
 
 from .relations import GroundSet, ProductGroundSet, Relation, product_relation, union_all
@@ -108,12 +107,18 @@ class FiniteMetric:
                     raise ValueError(f"negative distance at ({a}, {b})")
                 if x != d[b][a]:
                     raise ValueError(f"asymmetric distances at ({a}, {b})")
-        # d(a,c) <= d(a,b) + d(b,c) for all c  iff  max_c (d(a,c) - d(b,c)) <= d(a,b)
+        # Each row packs into one int of (w+1)-bit fields, a guard bit over w
+        # value bits.  2^w > 2 * max d, so no field carries or borrows, and
+        # d(a,c) <= d(a,b) + d(b,c) for all c iff every guard bit of
+        # packed[b] + d(a,b) * ones + guard - packed[a] is set.
+        w = (2 * max(map(max, d))).bit_length()
+        ones = sum(1 << (c * (w + 1)) for c in range(n))
+        guard = ones << w
+        packed = [sum(x << (c * (w + 1)) for c, x in enumerate(row)) for row in d]
         for a, row_a in enumerate(d):
-            for b, row_b in enumerate(d):
-                dab = row_a[b]
-                if max(map(sub, row_a, row_b)) > dab:
-                    c = next(c for c in range(n) if row_a[c] > dab + row_b[c])
+            for b, dab in enumerate(row_a):
+                if (packed[b] + dab * ones + guard - packed[a]) & guard != guard:
+                    c = next(c for c in range(n) if row_a[c] > dab + d[b][c])
                     raise ValueError(
                         f"triangle inequality fails: d({a},{c}) > d({a},{b}) + d({b},{c})"
                     )
@@ -148,11 +153,20 @@ def structure_from_metric(metric: FiniteMetric, scales: Iterable[object]) -> Coa
 
 
 def max_metric_product(m1: FiniteMetric, m2: FiniteMetric) -> FiniteMetric:
-    """Product metric d((x1,y1),(x2,y2)) = max(d1(x1,x2), d2(y1,y2))."""
+    """Product metric d((x1,y1),(x2,y2)) = max(d1(x1,x2), d2(y1,y2)).
+
+    The entries are compared as integers on the common scale of the factors,
+    and each is the larger factor's own Fraction.
+    """
+    scale = lcm(m1._scale, m2._scale)
+    keyed1, keyed2 = (
+        [tuple(zip([x * (scale // m._scale) for x in s], f)) for s, f in zip(m._scaled, m.dist)]
+        for m in (m1, m2)
+    )
     # point (x, y) has index x * |Y| + y, so rows and columns run x-major
     rows = tuple(
-        tuple(max(d1, d2) for d1 in row1 for d2 in row2)
-        for row1 in m1.dist
-        for row2 in m2.dist
+        tuple(f1 if s1 >= s2 else f2 for s1, f1 in row1 for s2, f2 in row2)
+        for row1 in keyed1
+        for row2 in keyed2
     )
     return FiniteMetric(ProductGroundSet(m1.ground, m2.ground), rows)

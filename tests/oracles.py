@@ -228,6 +228,17 @@ def o_metric_violation(rows):
     return None
 
 
+def o_max_metric_product(rows1, rows2):
+    """Entrywise Fraction max of two distance matrices; point (x, y) of the
+    product has index x * len(rows2) + y, so rows and columns run x-major."""
+    n1, n2 = len(rows1), len(rows2)
+    return tuple(
+        tuple(max(rows1[x1][x2], rows2[y1][y2]) for x2 in range(n1) for y2 in range(n2))
+        for x1 in range(n1)
+        for y1 in range(n2)
+    )
+
+
 def o_metric_entourage(rows, r):
     """Pairs at distance at most r, compared as Fractions."""
     n = len(rows)

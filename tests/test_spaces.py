@@ -1,9 +1,10 @@
 import dataclasses
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coarsec import (
@@ -23,6 +24,7 @@ from coarsec import (
 from oracles import (
     o_closure_relations,
     o_closure_union_free,
+    o_max_metric_product,
     o_metric_entourage,
     o_metric_violation,
 )
@@ -319,22 +321,36 @@ class TestMaxMetricProduct:
 
 # Mixed denominators: halves, thirds, sevenths and integers.
 WEIGHTS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(1), Fraction(2), Fraction(5, 2))
+# Numerators near 10**60 over denominators near 10**30: on the common scale
+# the entries need hundreds of bits.
+WIDE = (
+    Fraction(10**60 + 1, 10**30 + 3),
+    Fraction(10**60 - 7, 10**30 - 1),
+    Fraction(3 * 10**59 + 1, 7 * 10**29 + 1),
+    Fraction(10**60),
+)
+ZERO = (Fraction(0),)
+# Product factors: scale 2 against 3, 7 or 21 once a non-integer entry shows.
+HALVES = (Fraction(1, 2), Fraction(3, 2), Fraction(1), Fraction(2))
+THIRDS_SEVENTHS = (Fraction(1, 3), Fraction(2, 7), Fraction(1), Fraction(2))
 DEFECTS = ("none", "triangle", "asymmetry", "diagonal", "negative")
 
 
 @st.composite
-def distance_matrices(draw, defects=DEFECTS):
+def distance_matrices(draw, defects=DEFECTS, weight_sets=(WEIGHTS, WIDE, ZERO), max_size=12):
     """Shortest-path metric over random edge weights, then at most one defect.
 
-    A "triangle" defect raises one symmetric pair of entries, which breaks
-    the triangle inequality unless no detour is shorter; the others break
-    symmetry, the diagonal or the sign of one entry.
+    The edge weights come from one of weight_sets; ZERO gives all-zero
+    off-diagonal entries.  A "triangle" defect raises one symmetric pair of
+    entries, which breaks the triangle inequality unless no detour is
+    shorter; the others break symmetry, the diagonal or the sign of one entry.
     """
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, max_size))
+    weights = draw(st.sampled_from(weight_sets))
     d = [[Fraction(0)] * n for _ in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
-            d[a][b] = d[b][a] = draw(st.sampled_from(WEIGHTS))
+            d[a][b] = d[b][a] = draw(st.sampled_from(weights))
     for k in range(n):
         for a in range(n):
             for b in range(n):
@@ -343,7 +359,7 @@ def distance_matrices(draw, defects=DEFECTS):
     defect = draw(st.sampled_from(defects))
     a = draw(st.integers(0, n - 1))
     b = draw(st.integers(0, n - 1).filter(lambda b: n == 1 or b != a))
-    delta = draw(st.sampled_from(WEIGHTS))
+    delta = draw(st.sampled_from(weights + WEIGHTS))
     if defect == "diagonal":
         d[a][a] = delta
     elif defect == "triangle" and a != b:
@@ -353,6 +369,10 @@ def distance_matrices(draw, defects=DEFECTS):
     elif defect == "negative" and a != b:
         d[a][b] = d[b][a] = -delta
     return tuple(tuple(row) for row in d)
+
+
+def path_rows(n, unit):
+    return tuple(tuple(abs(x - y) * unit for y in range(n)) for x in range(n))
 
 
 def kernel_verdict(rows):
@@ -378,6 +398,56 @@ class TestIntegerKernel:
         assert kernel_verdict(rows) == o_metric_violation(rows)
         assert kernel_verdict(rows) == "triangle inequality fails: d(0,2) > d(0,1) + d(1,2)"
 
+    @pytest.mark.parametrize("unit", [Fraction(1), Fraction(10**60 + 1, 10**30 + 3)])
+    @pytest.mark.parametrize("n", [5, 12])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_planted_violation_at_first_and_last_triple(self, unit, n, first):
+        # a path with one distance two steps long raised by one step: the first
+        # failing triple is (a, a+1, a+2), either the first possible triple
+        # (0, 1, 2) or the last one any report can name, (n-3, n-2, n-1)
+        a = 0 if first else n - 3
+        d = [list(row) for row in path_rows(n, unit)]
+        d[a][a + 2] = d[a + 2][a] = 3 * unit
+        rows = tuple(map(tuple, d))
+        b, c = a + 1, a + 2
+        expected = f"triangle inequality fails: d({a},{c}) > d({a},{b}) + d({b},{c})"
+        assert kernel_verdict(rows) == o_metric_violation(rows) == expected
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            (((0,),), None),
+            (((Fraction(1, 3),),), "nonzero diagonal entry at (0, 0)"),
+            (((0,) * 4,) * 4, None),
+            (
+                ((0, 0, 1), (0, 0, 0), (1, 0, 0)),
+                "triangle inequality fails: d(0,2) > d(0,1) + d(1,2)",
+            ),
+        ],
+    )
+    def test_one_point_and_all_zero_spaces(self, rows, expected):
+        rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        assert kernel_verdict(rows) == o_metric_violation(rows) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        distance_matrices(defects=("none",), weight_sets=(HALVES,), max_size=6),
+        distance_matrices(defects=("none",), weight_sets=(THIRDS_SEVENTHS,), max_size=6),
+    )
+    # steps of 1/2 and of 1/3 tie at 0 and at 1
+    @example(path_rows(4, Fraction(1, 2)), path_rows(4, Fraction(1, 3)))
+    @example(path_rows(4, Fraction(1, 3)), path_rows(4, Fraction(1, 2)))
+    def test_max_product_matches_fraction_max(self, rows1, rows2):
+        # neither factor's scale divides the other's, and the integer weights
+        # both weight sets share give ties between factor distances
+        s1, s2 = (lcm(*(x.denominator for row in rows for x in row)) for rows in (rows1, rows2))
+        assume(s1 % s2 and s2 % s1)
+        m1 = FiniteMetric(GroundSet(len(rows1)), rows1)
+        m2 = FiniteMetric(GroundSet(len(rows2)), rows2)
+        dist = max_metric_product(m1, m2).dist
+        assert dist == o_max_metric_product(rows1, rows2)
+        assert all(type(x) is Fraction for row in dist for x in row)
+
     @settings(max_examples=150, deadline=None)
     @given(distance_matrices(defects=("none",)), st.data())
     def test_entourage_matches_fraction_filter(self, rows, data):
@@ -388,7 +458,9 @@ class TestIntegerKernel:
                 st.sampled_from(values),
                 st.sampled_from(values).map(lambda x: x + Fraction(1, 10**9)),
                 st.sampled_from(values).map(lambda x: max(x - Fraction(1, 10**9), Fraction(0))),
-                st.fractions(min_value=0, max_value=max(m.scales()) + 1, max_denominator=60),
+                st.fractions(
+                    min_value=0, max_value=int(max(m.scales())) + 2, max_denominator=60
+                ),
             )
         )
         assert metric_entourage(m, r).pairs == o_metric_entourage(m.dist, r)
